@@ -188,7 +188,7 @@ def _resolve_backend(name=None):
     Raises InvalidInputError for an unknown name, and for ``numba`` when
     numba does not import.
     """
-    name = name or os.environ.get("COOPJAM_BACKEND", "auto").lower()
+    name = (name or os.environ.get("COOPJAM_BACKEND", "auto")).lower()
     if name == "auto":
         return "numba" if _HAVE_NUMBA else "numpy"
     if name == "numba":

@@ -208,8 +208,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
 
     Goes through scipy's ``milp`` front end with no integer variables:
     the same HiGHS LP solve as ``linprog(method="highs")`` at about half
-    the per-call cost, which matters because algorithm_b issues
-    thousands of these tiny LPs.
+    the per-call cost.
     """
     constraints = None
     if lp.rows:

@@ -8,10 +8,10 @@ rate because the approximation touches from the conservative side.
 
 ``algorithm_b`` (search over received jamming power): fixing the total
 jamming power seen by the destination pins the destination SINR, after
-which the best worst-eavesdropper ratio on that slice is found by
-bisecting a monotone LP-feasibility question.  An outer 1-d search over
-the slice parameter then recovers the global shape without any
-convexification, making this an independent check on algorithm A.
+which the best worst-eavesdropper ratio on that slice is one linear
+program in the powers and a Charnes-Cooper variable.  An outer 1-d
+search over the slice parameter then recovers the global shape without
+any convexification, making this an independent check on algorithm A.
 """
 
 from dataclasses import dataclass
@@ -152,54 +152,54 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
 # search over received jamming power (independent route)
 # ---------------------------------------------------------------------------
 
-def _slice_optimum(scenario: Scenario, gains: ChannelGains, t0: float,
-                   inner_rel_tol: float):
+def _slice_optimum(scenario: Scenario, gains: ChannelGains, t0: float):
     """Best worst-eavesdropper capacity ratio on the slice where the
     destination receives total jamming power exactly t0.
 
-    Returns (q, p) with q = max over in-box allocations of
-    min_m (1+SINR_d)/(1+SINR_e_m), found by bisecting t in the monotone
-    predicate "every eavesdropper's ratio can reach t", which is a
-    linear feasibility problem in the powers:
+    Returns (q, p) with q = max over in-box allocations on the slice of
+    min_m (1+SINR_d)/(1+SINR_e_m).  SINR_d is pinned by t0, so with
+    top = 1 + SINR_d the ratio is top*u/(1+u), where u = min_m 1/SINR_e_m
+    is linear in the powers after the Charnes-Cooper change of
+    variables.  One LP in (p, u) therefore finds the slice optimum:
 
-        sum_k p_k g_e[m,k] >= p_source*h_e[m]*t/((1+SINR_d) - t) - sigma2_e[m]
+        max u  s.t.  g_d @ p = t0,
+                     g_e[m] @ p - p_source*h_e[m]*u >= -sigma2_e[m],
+                     0 <= p <= p_max,  u >= 0,
+
+    over the eavesdroppers with h_e[m] > 0.  Without any, u is unbounded
+    and the slice's ratio is top at every point.
     """
     n = scenario.n_jammers
     gd = scenario.p_source * gains.h_d / (scenario.sigma2_dest + t0)
     top = 1.0 + gd
-    base_rows = [(gains.g_d, "=", t0)]
-    active = [m for m in range(scenario.n_eavesdroppers) if gains.h_e[m] > 0]
-
-    def witness(t):
-        rows = list(base_rows)
-        for m in active:
-            need = (scenario.p_source * gains.h_e[m] * t / (top - t)
-                    - scenario.sigma2_eaves[m])
-            if need > 0:
-                rows.append((gains.g_e[m], ">=", need))
-        lp = LinearProgram(c=np.ones(n), rows=tuple(rows),
+    active = np.flatnonzero(gains.h_e > 0)
+    if not active.size:
+        lp = LinearProgram(c=np.ones(n), rows=((gains.g_d, "=", t0),),
                            lower=np.zeros(n), upper=scenario.p_max)
-        res = lp_solve(lp)
-        return res.x if res.status == "optimal" else None
-
-    p_lo = witness(0.0)
-    if p_lo is None:  # t0 <= p_max @ g_d makes this unreachable
-        raise NumericalError(f"slice t0={t0} unexpectedly infeasible")
-    if not active:
-        return top, p_lo
-    lo, hi = 0.0, top
-    while hi - lo > inner_rel_tol * top:
-        mid = 0.5 * (lo + hi)
-        w = witness(mid)
-        if w is not None:
-            lo, p_lo = mid, w
-        else:
-            hi = mid
-    return lo if lo > 0 else 1.0, p_lo
+    else:
+        h = scenario.p_source * gains.h_e[active]
+        sig = scenario.sigma2_eaves[active]
+        rows = [(np.append(gains.g_d, 0.0), "=", t0)]
+        rows += [(np.append(gains.g_e[m], -h_m), ">=", -s_m)
+                 for m, h_m, s_m in zip(active, h, sig)]
+        lp = LinearProgram(c=np.append(np.zeros(n), -1.0), rows=tuple(rows),
+                           lower=np.zeros(n + 1),
+                           upper=np.append(scenario.p_max, np.inf))
+    res = lp_solve(lp)
+    if res.status != "optimal":  # t0 <= p_max @ g_d keeps it feasible
+        raise NumericalError(f"slice t0={t0} LP is {res.status}")
+    p = res.x[:n]
+    if not active.size:
+        return top, p
+    # Score the witness itself rather than the solver's u, which may sit
+    # up to the LP's feasibility tolerance past what p attains.
+    u = float(np.min((gains.g_e[active] @ p + sig) / h))
+    q = top * u / (1.0 + u)
+    return q if q > 0 else 1.0, p
 
 
 def algorithm_b(scenario: Scenario, gains: ChannelGains,
-                eps: float | None = None, inner_rel_tol: float = 1e-8):
+                eps: float | None = None):
     """Global 1-d search over the destination's received jamming power.
 
     Returns (allocation, rate) where the rate is evaluated exactly at
@@ -216,7 +216,7 @@ def algorithm_b(scenario: Scenario, gains: ChannelGains,
     def q_of(t0):
         t0 = float(t0)
         if t0 not in cache:
-            cache[t0] = _slice_optimum(scenario, gains, t0, inner_rel_tol)
+            cache[t0] = _slice_optimum(scenario, gains, t0)
         return cache[t0][0]
 
     if t_max == 0.0:

@@ -114,3 +114,7 @@ class TestOutageKernels:
         monkeypatch.setenv("COOPJAM_BACKEND", "cuda")
         with pytest.raises(ValueError):
             _kernels.active_backend()
+
+    def test_backend_argument_ignores_case(self):
+        assert _kernels._resolve_backend("NumPy") == "numpy"
+        assert _kernels._resolve_backend("NUMPY") == "numpy"

@@ -6,10 +6,11 @@ import pytest
 
 from coopjam import (ChannelGains, InvalidInputError, PowerAllocation,
                      Scenario, algorithm_a, algorithm_b,
-                     best_jammer_selection, kkt_check, sample_channels,
-                     secrecy_rate)
-from coopjam.model import secrecy_rate_batch
-from coopjam.power_opt import max_sinr_ratio
+                     best_jammer_selection, kkt_check, power_opt,
+                     sample_channels, secrecy_rate)
+from coopjam.model import secrecy_rate_batch, sinr_eavesdropper
+from coopjam.numerics import LinearProgram, lp_solve
+from coopjam.power_opt import _slice_optimum, max_sinr_ratio
 from tests.conftest import feasible_draws
 
 
@@ -96,10 +97,9 @@ class TestAlgorithmB:
 
 class TestSliceObjective:
     def grid_values(self, s, g, points):
-        from coopjam.power_opt import _slice_optimum
         t_max = float(s.p_max @ g.g_d)
         ts = np.linspace(0.0, t_max, points)
-        return ts, np.array([_slice_optimum(s, g, t, 1e-8)[0] for t in ts])
+        return ts, np.array([_slice_optimum(s, g, t)[0] for t in ts])
 
     def test_no_interior_dip_where_positive(self, scenario3x2):
         # unimodality witness: on the stretch where the rate is positive
@@ -126,6 +126,94 @@ class TestSliceObjective:
             after = q[k_best:][pos[k_best:]]
             assert (np.diff(before) >= -1e-7).all()
             assert (np.diff(after) <= 1e-7).all()
+
+
+def _count_lp_calls(monkeypatch):
+    calls = []
+
+    def counted(lp):
+        calls.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(power_opt, "lp_solve", counted)
+    return calls
+
+
+def _bisection_oracle(s, g, t0, rel_tol=1e-9):
+    """Slice optimum by bisecting t in the LP-feasibility question "every
+    eavesdropper's ratio (1+SINR_d)/(1+SINR_e) can reach t"."""
+    top = 1.0 + s.p_source * g.h_d / (s.sigma2_dest + t0)
+    n = s.n_jammers
+
+    def reachable(t):
+        rows = [(g.g_d, "=", t0)]
+        for m in range(s.n_eavesdroppers):
+            need = s.p_source * g.h_e[m] * t / (top - t) - s.sigma2_eaves[m]
+            rows.append((g.g_e[m], ">=", need))
+        lp = LinearProgram(c=np.ones(n), rows=tuple(rows),
+                           lower=np.zeros(n), upper=s.p_max)
+        return lp_solve(lp).status == "optimal"
+
+    lo, hi = 0.0, top
+    while hi - lo > rel_tol * top:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if reachable(mid) else (lo, mid)
+    return lo
+
+
+class TestSliceLp:
+    def test_one_lp_per_slice(self, scenario3x2, monkeypatch):
+        g = feasible_draws(scenario3x2, seed=52, count=1)[0]
+        calls = _count_lp_calls(monkeypatch)
+        _slice_optimum(scenario3x2, g, 0.3 * float(scenario3x2.p_max @ g.g_d))
+        assert len(calls) == 1
+
+    def test_algorithm_b_one_lp_per_distinct_slice(self, scenario3x2,
+                                                   monkeypatch):
+        g = feasible_draws(scenario3x2, seed=35, count=1)[0]
+        calls = _count_lp_calls(monkeypatch)
+        slices = []
+
+        def recorded(s, gains, t0):
+            slices.append(t0)
+            return _slice_optimum(s, gains, t0)
+
+        monkeypatch.setattr(power_opt, "_slice_optimum", recorded)
+        algorithm_b(scenario3x2, g)
+        assert len(calls) == len(set(slices)) == len(slices)
+
+    def test_witness_attains_value_on_slice(self, scenario3x2):
+        s = scenario3x2
+        for g in feasible_draws(s, seed=53, count=3):
+            t_max = float(s.p_max @ g.g_d)
+            for t0 in np.linspace(0.0, t_max, 9):
+                q, p = _slice_optimum(s, g, t0)
+                top = 1.0 + s.p_source * g.h_d / (s.sigma2_dest + t0)
+                worst = max(sinr_eavesdropper(s, g, p, m)
+                            for m in range(s.n_eavesdroppers))
+                assert q == pytest.approx(top / (1.0 + worst), rel=1e-12)
+                assert g.g_d @ p == pytest.approx(t0, rel=1e-9, abs=1e-15)
+                assert (p >= 0).all() and (p <= s.p_max).all()
+
+    def test_matches_bisection_oracle(self, scenario3x2):
+        s21 = Scenario(n_jammers=2, n_eavesdroppers=1, p_source=2.0,
+                       p_max=[1.5, 1.5], sigma2_dest=0.1, sigma2_eaves=[0.1])
+        for s, seed in ((scenario3x2, 54), (s21, 55)):
+            for g in feasible_draws(s, seed=seed, count=2):
+                t_max = float(s.p_max @ g.g_d)
+                for t0 in np.linspace(0.0, t_max, 5):
+                    q, _ = _slice_optimum(s, g, t0)
+                    assert q == pytest.approx(_bisection_oracle(s, g, t0),
+                                              rel=2e-6)
+
+    def test_no_eavesdropper_hears_source(self, scenario3x2):
+        s = scenario3x2
+        g = ChannelGains(h_d=2.0, h_e=[0.0, 0.0], g_d=[0.2, 0.3, 1.0],
+                         g_e=[[2.0, 1.0, 0.5], [1.0, 2.0, 0.5]])
+        alloc, rate = algorithm_b(s, g)
+        assert (alloc.p == 0.0).all()
+        assert rate == pytest.approx(
+            np.log2(1.0 + s.p_source * g.h_d / s.sigma2_dest), rel=1e-12)
 
 
 class TestBestJammer:
