@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegeneratePowersError, InvalidInputError
+from .errors import (DegeneratePowersError, InvalidInputError,
+                     ResourceLimitError)
 from .feasibility import check_positive_secrecy
 from .model import Scenario, sample_channels
 from .power_opt import algorithm_a, algorithm_b, best_jammer_selection
-from .sop_analytic import (SopScenario, expansion_term_count, sop_closed_form,
-                           sop_integral)
+from .sop_analytic import SopScenario, sop_closed_form, sop_integral
 from .sop_mc import estimate_sop
 
 log = logging.getLogger(__name__)
@@ -155,13 +155,10 @@ def _sop_point(sc: SopScenario, cfg: ExperimentConfig, config_label, sweep_value
     rows = []
     flag = ""
     try:
-        if expansion_term_count(sc.scenario.n_jammers,
-                                sc.scenario.n_eavesdroppers) > 200_000:
-            raise DegeneratePowersError("expansion too large")
         closed = sop_closed_form(sc)
         rows.append((config_label, sweep_value, "closed",
                      closed.p_out, 0.0, ""))
-    except DegeneratePowersError as exc:
+    except (DegeneratePowersError, ResourceLimitError) as exc:
         log.warning("closed form unavailable (%s); integral+mc only", exc)
         flag = "closed_unavailable"
     quad = sop_integral(sc)

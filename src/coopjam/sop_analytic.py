@@ -21,6 +21,7 @@ see perturb_distinct for the standard workaround.
 import itertools
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
 
@@ -135,19 +136,31 @@ def sop_constants(sc: SopScenario) -> SopConstants:
 # SINR distributions
 # ---------------------------------------------------------------------------
 
-def _cdf_sinr(x, powers, ps, sigma2, a):
-    """CDF of ps*h / (sum_n P_n g_n + sigma2), all gains unit-mean
-    exponential, evaluated elementwise for x >= 0."""
+def _cdf_sinr_max(x, powers, ps, sigma2s, ap):
+    """CDF of the largest of independent SINRs ps*h / (sum_n P_n g_n +
+    sigma2), one per noise variance in the array ``sigma2s``, all gains
+    unit-mean exponential, evaluated elementwise for x >= 0; ``ap`` holds
+    A_n * P_n.
+
+    The jamming sum is the same for every receiver, so it is formed once
+    and all factors of the product are evaluated together.
+    """
     x = np.asarray(x, dtype=float)
-    denom = powers * x[..., None] + ps
-    val = 1.0 - ps * np.exp(-sigma2 * x / ps) * ((a * powers) / denom).sum(-1)
-    return np.where(x < 0, 0.0, val)
+    # np.add.reduce is ndarray.sum without its Python-level wrapper, which
+    # is a noticeable share of one quadrature evaluation
+    jam = np.add.reduce(ap / (powers * x[..., None] + ps), -1)
+    sigma2s = sigma2s.reshape((-1,) + (1,) * x.ndim)
+    val = np.where(x < 0, 0.0, 1.0 - ps * np.exp(-sigma2s * x / ps) * jam)
+    out = 1.0
+    for factor in val:
+        out = out * factor
+    return out
 
 
 def cdf_gamma_d(x, scenario: Scenario):
-    a = coeff_a(scenario.p_max)
-    return _cdf_sinr(x, scenario.p_max, scenario.p_source,
-                     scenario.sigma2_dest, a)
+    p = scenario.p_max
+    return _cdf_sinr_max(x, p, scenario.p_source,
+                         np.array([scenario.sigma2_dest]), coeff_a(p) * p)
 
 
 def pdf_gamma_d(x, scenario: Scenario):
@@ -164,12 +177,9 @@ def pdf_gamma_d(x, scenario: Scenario):
 def cdf_gamma_emax(x, scenario: Scenario):
     """CDF of the largest eavesdropper SINR (independent across
     eavesdroppers given the fixed jammer powers)."""
-    a = coeff_a(scenario.p_max)
-    out = 1.0
-    for m in range(scenario.n_eavesdroppers):
-        out = out * _cdf_sinr(x, scenario.p_max, scenario.p_source,
-                              scenario.sigma2_eaves[m], a)
-    return out
+    p = scenario.p_max
+    return _cdf_sinr_max(x, p, scenario.p_source, scenario.sigma2_eaves,
+                         coeff_a(p) * p)
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +205,20 @@ def sop_integral(sc: SopScenario, rel_tol: float = 1e-10) -> SopResult:
     """
     s = sc.scenario
     k = sop_constants(sc)
-    a = k.a_coeff
+    p, ps, sig_d, sig_e = s.p_max, s.p_source, s.sigma2_dest, s.sigma2_eaves
+    ap = k.a_coeff * p
+    psp = ps * p
 
     def pdf_dest(u):
-        denom = s.p_max * u + s.p_source
-        inner = (a * s.p_max * (s.sigma2_dest / denom
-                                + s.p_source * s.p_max / denom ** 2)).sum()
-        return math.exp(-s.sigma2_dest * u / s.p_source) * inner
+        denom = p * u + ps
+        inner = np.add.reduce(ap * (sig_d / denom + psp / denom ** 2))
+        return math.exp(-sig_d * u / ps) * inner
 
     def integrand(x):
-        return float(cdf_gamma_emax(x, s) * pdf_dest(k.mu * (x - k.nu)))
+        return float(_cdf_sinr_max(x, p, ps, sig_e, ap)
+                     * pdf_dest(k.mu * (x - k.nu)))
 
-    noise = 1e-15 * float(np.abs(a * s.p_max).sum())
+    noise = 1e-15 * float(np.abs(ap).sum())
     quad = integrate_semi_infinite(integrand, 0.0,
                                    rel_tol=max(rel_tol, noise))
     p_out = min(1.0, max(0.0, 1.0 - k.mu * quad.value))
@@ -224,12 +236,36 @@ def elementary_integral(i: int, a1: float, c: float) -> float:
     Reduction to the exponential integral; the exp(a1*c)*Ei(-a1*c)
     product is evaluated in fused form so large a1*c cannot overflow.
     """
+    return _elementary_integral(i, a1, c, scaled_exp_integral_ei)
+
+
+def _elementary_integral(i, a1, c, ei) -> float:
+    """elementary_integral with ``ei`` standing in for
+    scaled_exp_integral_ei."""
     if i < 1 or a1 <= 0 or c <= 0:
         raise InvalidInputError(f"need i >= 1, a1 > 0, c > 0; got {i}, {a1}, {c}")
     head = sum(factorial(r - 1) * (-a1) ** (i - r - 1) * c ** (-r)
                for r in range(1, i))
-    tail = (-a1) ** (i - 1) * scaled_exp_integral_ei(a1 * c)
+    tail = (-a1) ** (i - 1) * ei(a1 * c)
     return (head - tail) / factorial(i - 1)
+
+
+def _ei_per_call():
+    """scaled_exp_integral_ei evaluated once per distinct argument.
+
+    The table lives only as long as the returned function, i.e. for one
+    closed-form evaluation; nothing is shared across calls.
+    """
+    table = {}
+
+    def ei(t):
+        try:
+            return table[t]
+        except KeyError:
+            value = table[t] = scaled_exp_integral_ei(t)
+            return value
+
+    return ei
 
 
 def _derivatives_of_pole_product(poles, mults, x0: float, order: int):
@@ -269,7 +305,14 @@ def basic_integral(ell: int, k, a1: float, a2: float, a3) -> float:
     a3 = np.asarray(a3, dtype=float)
     if a3.shape != k.shape:
         raise InvalidInputError("a3 and k length mismatch")
-    used = np.flatnonzero(k > 0)
+    k, a3 = k.tolist(), a3.tolist()
+    used = [t for t, kt in enumerate(k) if kt > 0]
+    _check_poles(a2, a3, used)
+    return _basic_integral(ell, k, a1, a2, a3, used, scaled_exp_integral_ei)
+
+
+def _check_poles(a2, a3, used):
+    """Reject coincident poles among a2 and the a3[t] with t in used."""
     for t in used:
         if abs(a2 - a3[t]) <= _POLE_GAP * max(1.0, a2, a3[t]):
             raise DegeneratePowersError(
@@ -278,25 +321,31 @@ def basic_integral(ell: int, k, a1: float, a2: float, a3) -> float:
         if abs(a3[i] - a3[t]) <= _POLE_GAP * max(1.0, a3[i], a3[t]):
             raise DegeneratePowersError(
                 f"poles collide: a3[{i}]={a3[i]} vs a3[{t}]={a3[t]}")
-    if not used.size:
-        return elementary_integral(ell, a1, a2)
+
+
+def _basic_integral(ell, k, a1, a2, a3, used, ei) -> float:
+    """basic_integral on checked poles: ``k`` and ``a3`` are sequences of
+    Python numbers, ``used`` lists the t with k[t] > 0, and ``ei``
+    stands in for scaled_exp_integral_ei."""
+    if not used:
+        return _elementary_integral(ell, a1, a2, ei)
 
     total = []
     # coefficients on (x+a2)^-1 .. (x+a2)^-ell
-    zeta = _derivatives_of_pole_product(a3[used], k[used], -a2, ell - 1)
+    zeta = _derivatives_of_pole_product([a3[t] for t in used],
+                                        [k[t] for t in used], -a2, ell - 1)
     for r in range(ell):
         coeff = zeta[r] / factorial(r)
-        total.append(coeff * elementary_integral(ell - r, a1, a2))
+        total.append(coeff * _elementary_integral(ell - r, a1, a2, ei))
     # coefficients on (x+a3_j)^-1 .. (x+a3_j)^-k_j
     for j in used:
         others = [t for t in used if t != j]
         poles = [a2] + [a3[t] for t in others]
-        mults = [ell] + [int(k[t]) for t in others]
-        theta = _derivatives_of_pole_product(poles, mults, -a3[j],
-                                             int(k[j]) - 1)
-        for r in range(int(k[j])):
+        mults = [ell] + [k[t] for t in others]
+        theta = _derivatives_of_pole_product(poles, mults, -a3[j], k[j] - 1)
+        for r in range(k[j]):
             coeff = theta[r] / factorial(r)
-            total.append(coeff * elementary_integral(int(k[j]) - r, a1, a3[j]))
+            total.append(coeff * _elementary_integral(k[j] - r, a1, a3[j], ei))
     return math.fsum(total)
 
 
@@ -323,7 +372,11 @@ def sop_closed_form(sc: SopScenario, max_terms: int = 200_000) -> SopResult:
     exclusion signs) and each power of the partial-fraction sum by the
     multinomial theorem; every piece is then a basic_integral.  All
     addends are accumulated with exact compensated summation, so the
-    term order cannot affect the result.
+    term order cannot affect the result.  The expansion reuses a few
+    exponential-integral arguments t = a1*c thousands of times, so Ei is
+    evaluated once per distinct argument within each call, and subsets
+    of eavesdroppers with equal noise, whose addends coincide, are
+    expanded once.
 
     Barely-distinct powers technically pass validation but make the
     expansion cancel catastrophically (error ~ max|A_n|**(M+1) * eps);
@@ -340,24 +393,30 @@ def sop_closed_form(sc: SopScenario, max_terms: int = 200_000) -> SopResult:
     a = k.a_coeff
     ps = s.p_source
     sig_d = s.sigma2_dest
+    kappa, lam = k.kappa.tolist(), k.lam.tolist()
+    ei = _ei_per_call()
 
+    # Subsets of equal size and equal decay rate psi (eavesdroppers with
+    # equal noise) give identical addends: expand each such group once
+    # and repeat its addends once per subset.
+    groups = Counter((len(subset), psi)
+                     for subset, psi in k.psi_subsets.items())
     addends = []
-    for size in range(m_eaves + 1):
-        for subset in itertools.combinations(range(m_eaves), size):
-            psi = k.psi_subsets[subset]
-            sign = (-1.0) ** size
-            for ks in _compositions(size, n):
-                ks_arr = np.array(ks, dtype=int)
-                multi = factorial(size)
-                for kt in ks:
-                    multi //= factorial(kt)
-                weight = sign * ps ** size * multi * float(np.prod(a ** ks_arr))
-                for idx in range(n):
-                    base = (sig_d * basic_integral(1, ks_arr, psi,
-                                                   k.kappa[idx], k.lam)
-                            + (ps / k.mu) * basic_integral(2, ks_arr, psi,
-                                                           k.kappa[idx], k.lam))
-                    addends.append(weight * (a[idx] / k.mu) * base)
+    for (size, psi), count in groups.items():
+        sign = (-1.0) ** size
+        for ks in _compositions(size, n):
+            used = [t for t, kt in enumerate(ks) if kt > 0]
+            multi = factorial(size)
+            for kt in ks:
+                multi //= factorial(kt)
+            weight = sign * ps ** size * multi * float(np.prod(a ** np.array(ks)))
+            for idx in range(n):
+                _check_poles(kappa[idx], lam, used)
+                base = (sig_d * _basic_integral(1, ks, psi, kappa[idx], lam,
+                                                used, ei)
+                        + (ps / k.mu) * _basic_integral(2, ks, psi, kappa[idx],
+                                                        lam, used, ei))
+                addends.extend([weight * (a[idx] / k.mu) * base] * count)
     y = math.fsum(addends)
     scale = k.mu * math.exp(k.xi * k.nu)
     # fsum is exact, so accuracy is set by the addends themselves; their

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from coopjam import InvalidInputError, Scenario
+from coopjam import InvalidInputError, ResourceLimitError, Scenario
 from coopjam.experiments import (CSV_VERSION, ExperimentConfig, _sop_point,
                                  default_scenario, run_comparison,
                                  run_convergence, run_experiment,
@@ -104,6 +104,22 @@ class TestOutageRuns:
         assert "closed" not in methods
         assert methods["integral"][5] == "closed_unavailable"
         assert methods["mc"][5] == "closed_unavailable"
+
+    def test_sop_point_flags_oversized_closed_form(self, monkeypatch):
+        # the closed form's own term limit decides; its ResourceLimitError
+        # drops the closed row like a pole collision does
+        def too_large(sc):
+            raise ResourceLimitError("closed form needs too many terms")
+
+        monkeypatch.setattr("coopjam.experiments.sop_closed_form", too_large)
+        s = Scenario(n_jammers=2, n_eavesdroppers=1, p_source=2.0,
+                     p_max=np.array([1.0, 3.0]), sigma2_dest=0.1,
+                     sigma2_eaves=np.array([0.1]))
+        cfg = ExperimentConfig(experiment="sop_vs_rate", seed=0,
+                               mc_samples=20_000)
+        rows = _sop_point(SopScenario(scenario=s, rate=0.5), cfg, "x", 0.5)
+        assert [r[2] for r in rows] == ["integral", "mc"]
+        assert all(r[5] == "closed_unavailable" for r in rows)
 
     def test_run_experiment_reproducible_files(self, tmp_path):
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
