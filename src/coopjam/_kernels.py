@@ -2,8 +2,11 @@
 
 Two interchangeable backends evaluate the same stream:
 
-* a numba-compiled per-sample loop (fast path), and
-* a chunked, vectorised numpy fallback.
+* a numba-compiled per-sample loop, and
+* a blocked, multi-core numpy kernel: each CPU the process may run on
+  counts one contiguous range of samples, a few thousand samples at a
+  time in buffers it reuses.  The count does not depend on the number
+  of workers or on the block size.
 
 Backend choice comes from the environment variable ``COOPJAM_BACKEND``
 (``numba``, ``numpy`` or ``auto``; default ``auto`` picks numba when it
@@ -29,6 +32,8 @@ offset                draw
 """
 
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -109,29 +114,117 @@ def draw_channel_arrays(seed: int, index: int, n: int, m: int):
 # outage kernels
 # ---------------------------------------------------------------------------
 
-def _mc_outage_numpy(ps, p, sig2d, sig2e, mu, nu, key, n_samples,
-                     chunk=1 << 16):
-    """Chunked vectorised count of secrecy outage events."""
+# Samples per block of the numpy kernel.  Each worker reuses its
+# (block, d) buffers, under 1 MB each at d = 25, for every block, so the
+# working set stays in the core's cache.
+_BLOCK = 4096
+# Runs shorter than this stay on the calling thread.
+_MIN_SPLIT = 4 * _BLOCK
+
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # pragma: no cover - platforms without affinity
+    _WORKERS = os.cpu_count() or 1
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool():
+    """The module's thread pool, created on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=_WORKERS,
+                                       thread_name_prefix="coopjam-mc")
+        return _POOL
+
+
+def _forget_pool():
+    # A forked child inherits the pool object but none of its threads.
+    global _POOL, _POOL_LOCK
+    _POOL = None
+    _POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _mc_outage_range(ps, p, sig2d, sig2e, mu, nu, key, start, stop):
+    """Outage count over samples ``start .. stop - 1``, block by block.
+
+    The hash input of draw ``off`` of sample ``i`` is
+    ``(i*d + off + 1)*GOLDEN + key`` (mod 2**64), formed as a per-sample
+    term ``i*d*GOLDEN`` plus a per-offset term ``(off + 1)*GOLDEN + key``;
+    the split is exact in uint64 arithmetic.  The remaining steps repeat
+    _words_np and exponential_stream operation for operation, in place.
+    """
+    if stop <= start:
+        return 0
     n = p.size
     m = sig2e.size
     d = 1 + m + n + m * n
-    offs = np.arange(d, dtype=np.uint64)
+    rows = min(_BLOCK, stop - start)
+    step = (d * _GOLDEN) & _MASK
+    per_offset = (np.arange(1, d + 1, dtype=np.uint64) * _U64(_GOLDEN)
+                  + _U64(key))
+    per_sample = np.arange(rows, dtype=np.uint64) * _U64(step)
+    # Hash inputs of a block that starts at sample 0.
+    base = per_sample[:, None] + per_offset[None, :]
+    words = np.empty((rows, d), dtype=np.uint64)
+    draws = np.empty((rows, d))
+    # The shifted words live in the draw buffer until the draws do.
+    shifted = draws.view(np.uint64)
     count = 0
-    for start in range(0, n_samples, chunk):
-        k = min(chunk, n_samples - start)
-        base = (np.arange(start, start + k, dtype=np.uint64) * _U64(d))
-        draws = -np.log1p(
-            -((_words_np(key, base[:, None] + offs[None, :]) >> _U64(11))
-              * _INV_2_53))
-        h_d = draws[:, 0]
-        h_e = draws[:, 1:1 + m]
-        g_d = draws[:, 1 + m:1 + m + n]
-        g_e = draws[:, 1 + m + n:].reshape(k, m, n)
+    for first in range(start, stop, rows):
+        k = min(rows, stop - first)
+        z = words[:k]
+        t = shifted[:k]
+        x = draws[:k]
+        np.add(base[:k], _U64((first * step) & _MASK), out=z)
+        np.right_shift(z, _U64(30), out=t)
+        z ^= t
+        z *= _U64(_MIX_A)
+        np.right_shift(z, _U64(27), out=t)
+        z ^= t
+        z *= _U64(_MIX_B)
+        np.right_shift(z, _U64(31), out=t)
+        z ^= t
+        z >>= _U64(11)
+        np.multiply(z, _INV_2_53, out=x)
+        np.negative(x, out=x)
+        np.log1p(x, out=x)
+        np.negative(x, out=x)
+        h_d = x[:, 0]
+        h_e = x[:, 1:1 + m]
+        g_d = x[:, 1 + m:1 + m + n]
+        g_e = x[:, 1 + m + n:].reshape(k, m, n)
+        # These matmuls keep the views' shapes: re-laying them (explicit
+        # sums, one matmul per eavesdropper) changes some SINRs' last bit.
         gamma_d = ps * h_d / (g_d @ p + sig2d)
-        gamma_e = ps * h_e / (g_e @ p + sig2e[None, :])
-        count += int(np.count_nonzero(
-            gamma_e.max(axis=1) >= gamma_d / mu + nu))
+        gamma_e = ps * h_e / (g_e @ p + sig2e)
+        worst = gamma_e[:, 0].copy()
+        for j in range(1, m):
+            np.maximum(worst, gamma_e[:, j], out=worst)
+        count += int(np.count_nonzero(worst >= gamma_d / mu + nu))
     return count
+
+
+def _mc_outage_numpy(ps, p, sig2d, sig2e, mu, nu, key, n_samples):
+    """Blocked count of secrecy outage events, one contiguous range of
+    samples per CPU.  Every draw is a pure function of (key, counter),
+    so the count does not depend on how the range is split."""
+    if _WORKERS < 2 or n_samples < _MIN_SPLIT:
+        return _mc_outage_range(ps, p, sig2d, sig2e, mu, nu, key,
+                                0, n_samples)
+    workers = min(_WORKERS, n_samples // _BLOCK)
+    bounds = [n_samples * w // workers for w in range(workers + 1)]
+    pool = _pool()
+    futures = [pool.submit(_mc_outage_range, ps, p, sig2d, sig2e, mu, nu,
+                           key, lo, hi)
+               for lo, hi in zip(bounds[:-1], bounds[1:])]
+    wait(futures)  # no range is still running if one of them raised
+    return sum(f.result() for f in futures)
 
 
 _HAVE_NUMBA = False

@@ -203,12 +203,13 @@ class LpResult:
     value: float | None
 
 
-def lp_solve(lp: LinearProgram) -> LpResult:
+def lp_solve(lp: LinearProgram, presolve: bool = True) -> LpResult:
     """Solve a small dense LP (HiGHS under the hood).
 
     Goes through scipy's ``milp`` front end with no integer variables:
     the same HiGHS LP solve as ``linprog(method="highs")`` at about half
-    the per-call cost.
+    the per-call cost.  ``presolve=False`` skips HiGHS's presolve, whose
+    reductions can call a feasible LP infeasible (see _slice_optimum).
     """
     constraints = None
     if lp.rows:
@@ -220,7 +221,8 @@ def lp_solve(lp: LinearProgram) -> LpResult:
             np.where(rel == ">=", np.inf, b))
     res = scipy.optimize.milp(
         lp.c, constraints=constraints,
-        bounds=scipy.optimize.Bounds(lp.lower, lp.upper))
+        bounds=scipy.optimize.Bounds(lp.lower, lp.upper),
+        options=None if presolve else {"presolve": False})
     if res.status == 0:
         return LpResult(status="optimal", x=np.asarray(res.x, dtype=float),
                         value=float(res.fun))

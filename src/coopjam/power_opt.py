@@ -186,7 +186,12 @@ def _slice_optimum(scenario: Scenario, gains: ChannelGains, t0: float):
                            lower=np.zeros(n + 1),
                            upper=np.append(scenario.p_max, np.inf))
     res = lp_solve(lp)
-    if res.status != "optimal":  # t0 <= p_max @ g_d keeps it feasible
+    if res.status == "infeasible":
+        # 0 <= t0 <= p_max @ g_d keeps the slice feasible, but HiGHS's
+        # presolve calls it infeasible when t0 sits within ~1e-9 relative
+        # of a vertex of the box, where algorithm_b's search often ends.
+        res = lp_solve(lp, presolve=False)
+    if res.status != "optimal":
         raise NumericalError(f"slice t0={t0} LP is {res.status}")
     p = res.x[:n]
     if not active.size:

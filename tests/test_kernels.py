@@ -1,14 +1,17 @@
 """Counter-based RNG and the Monte Carlo outage kernels.
 
 The contract under test: one (seed, counter) pair maps to one double in
-[0, 1), scalar and vectorised paths agree bit for bit, and the numba and
-numpy outage kernels count the same outages for the same inputs.
+[0, 1), scalar and vectorised paths agree bit for bit, the numba and
+numpy outage kernels count the same outages for the same inputs, and the
+numpy count does not depend on how its sample range is split.
 """
 
 import importlib.util
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopjam import _kernels
 from coopjam.errors import InvalidInputError
@@ -118,3 +121,83 @@ class TestOutageKernels:
     def test_backend_argument_ignores_case(self):
         assert _kernels._resolve_backend("NumPy") == "numpy"
         assert _kernels._resolve_backend("NUMPY") == "numpy"
+
+
+def kernel_args(n, m, seed=2024, rate=0.5):
+    """Kernel inputs for an n-jammer, m-eavesdropper network."""
+    return dict(ps=10.0, p=np.linspace(0.5, 2.0, n), sig2d=0.1,
+                sig2e=np.linspace(0.1, 0.3, m), mu=2.0 ** rate,
+                nu=2.0 ** -rate - 1.0, seed=seed)
+
+
+class TestPinnedCounts:
+    # Recorded with the earlier numpy kernel (65,536-sample chunks, one
+    # thread) before the blocked, multi-core one replaced it.  The middle
+    # sample counts straddle one block of 4,096 samples; 20,011 and
+    # 200,000 are split across the worker threads.
+    COUNTS = (1000, 4095, 4096, 4097, 20_011, 200_000)
+    PINNED = {
+        (1, 1): (578, 2366, 2366, 2366, 11619, 115575),
+        (2, 1): (621, 2461, 2462, 2462, 12015, 120065),
+        (3, 2): (755, 3181, 3182, 3183, 15235, 152537),
+        (4, 4): (900, 3592, 3593, 3593, 17634, 175854),
+        (6, 3): (853, 3520, 3521, 3522, 17200, 172318),
+    }
+
+    def test_sample_counts_straddle_one_block(self):
+        assert self.COUNTS[1:4] == (_kernels._BLOCK - 1, _kernels._BLOCK,
+                                    _kernels._BLOCK + 1)
+
+    @pytest.mark.parametrize("shape", sorted(PINNED))
+    def test_counts_unchanged(self, shape):
+        got = tuple(_kernels.mc_outage_count(n_samples=count, backend="numpy",
+                                             **kernel_args(*shape))
+                    for count in self.COUNTS)
+        assert got == self.PINNED[shape]
+
+
+def range_count(args, start, stop):
+    key = _kernels.seed_key(args["seed"])
+    return _kernels._mc_outage_range(args["ps"], args["p"], args["sig2d"],
+                                     args["sig2e"], args["mu"], args["nu"],
+                                     key, start, stop)
+
+
+class TestSplitInvariance:
+    @given(shape=st.sampled_from([(1, 1), (2, 1), (3, 2)]),
+           n_samples=st.integers(1, 3 * _kernels._BLOCK + 100),
+           cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+           seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=25, deadline=None)
+    def test_split_points_do_not_change_count(self, shape, n_samples, cuts,
+                                              seed):
+        args = kernel_args(*shape, seed=seed)
+        whole = _kernels.mc_outage_count(n_samples=n_samples,
+                                         backend="numpy", **args)
+        bounds = [0, *sorted(int(c * n_samples) for c in cuts), n_samples]
+        parts = sum(range_count(args, lo, hi)
+                    for lo, hi in zip(bounds[:-1], bounds[1:]))
+        assert parts == whole
+
+    def test_one_worker_gives_the_same_count(self, monkeypatch):
+        args = kernel_args(3, 2)
+        default = _kernels.mc_outage_count(n_samples=50_000,
+                                           backend="numpy", **args)
+        monkeypatch.setattr(_kernels, "_WORKERS", 1)
+        assert _kernels.mc_outage_count(n_samples=50_000, backend="numpy",
+                                        **args) == default
+
+    def test_pool_is_reused(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "_WORKERS", 2)
+        args = kernel_args(2, 1)
+        first = _kernels.mc_outage_count(n_samples=50_000, backend="numpy",
+                                         **args)
+        pool = _kernels._POOL
+        assert pool is not None
+        second = _kernels.mc_outage_count(n_samples=50_000, backend="numpy",
+                                          **args)
+        assert _kernels._POOL is pool
+        assert first == second
+
+    def test_empty_range_counts_nothing(self):
+        assert range_count(kernel_args(2, 1), 10, 10) == 0

@@ -3,6 +3,8 @@ stationarity report."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopjam import (ChannelGains, InvalidInputError, PowerAllocation,
                      Scenario, algorithm_a, algorithm_b,
@@ -131,9 +133,9 @@ class TestSliceObjective:
 def _count_lp_calls(monkeypatch):
     calls = []
 
-    def counted(lp):
+    def counted(lp, **kwargs):
         calls.append(lp)
-        return lp_solve(lp)
+        return lp_solve(lp, **kwargs)
 
     monkeypatch.setattr(power_opt, "lp_solve", counted)
     return calls
@@ -206,6 +208,21 @@ class TestSliceLp:
                     assert q == pytest.approx(_bisection_oracle(s, g, t0),
                                               rel=2e-6)
 
+    def test_slice_next_to_a_vertex(self):
+        # HiGHS's presolve calls this slice infeasible: t0 is 1.2e-7 below
+        # p_max[0]*g_d[0] + p_max[1]*g_d[1], where algorithm_b's search
+        # ended on this draw.
+        s = Scenario(n_jammers=3, n_eavesdroppers=2, p_source=4.0,
+                     p_max=[0.25, 4.0, 0.109375], sigma2_dest=0.1,
+                     sigma2_eaves=[0.1, 0.1])
+        g = sample_channels(s, seed=430681827, index=1)
+        t0 = 0.21844217857507855
+        q, p = _slice_optimum(s, g, t0)
+        assert q == pytest.approx(_bisection_oracle(s, g, t0), rel=2e-6)
+        assert g.g_d @ p == pytest.approx(t0, rel=1e-9)
+        alloc, _ = algorithm_b(s, g)
+        assert (alloc.p >= 0).all() and (alloc.p <= s.p_max).all()
+
     def test_no_eavesdropper_hears_source(self, scenario3x2):
         s = scenario3x2
         g = ChannelGains(h_d=2.0, h_e=[0.0, 0.0], g_d=[0.2, 0.3, 1.0],
@@ -237,6 +254,25 @@ class TestBestJammer:
         grid = np.linspace(0, 1.0, 20001)[:, None]
         assert rate == pytest.approx(
             secrecy_rate_batch(s, g, grid).max(), abs=1e-6)
+
+
+class TestPowerBox:
+    @given(shape=st.sampled_from([(2, 1), (3, 2)]),
+           p_source=st.floats(0.5, 5.0),
+           caps=st.lists(st.floats(0.1, 4.0), min_size=3, max_size=3),
+           seed=st.integers(0, 2 ** 32), index=st.integers(0, 1000))
+    @settings(max_examples=15, deadline=None)
+    def test_allocations_stay_in_box(self, shape, p_source, caps, seed,
+                                     index):
+        n, m = shape
+        s = Scenario(n_jammers=n, n_eavesdroppers=m, p_source=p_source,
+                     p_max=np.array(caps[:n]), sigma2_dest=0.1,
+                     sigma2_eaves=np.full(m, 0.1))
+        g = feasible_draws(s, seed=seed, count=1, start_index=index)[0]
+        allocations = [algorithm_a(s, g)[0], algorithm_b(s, g)[0],
+                       best_jammer_selection(s, g)[0]]
+        for alloc in allocations:
+            assert (alloc.p >= 0).all() and (alloc.p <= s.p_max).all()
 
 
 class TestKktReport:

@@ -49,6 +49,25 @@ class TestEstimator:
         with pytest.raises(InvalidInputError):
             estimate_sop(make_sop([0.7, 1.9]), n_samples=999, seed=0)
 
+    @pytest.mark.parametrize("n_samples", [1e4, 20_000.0, "20000", True,
+                                           None])
+    def test_non_integer_sample_count_rejected(self, n_samples):
+        with pytest.raises(InvalidInputError, match="n_samples"):
+            estimate_sop(make_sop([0.7, 1.9]), n_samples, 1)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.9, 1.0, "1", False])
+    def test_non_integer_seed_rejected(self, seed):
+        # a float seed used to be truncated onto seed 1's stream
+        with pytest.raises(InvalidInputError, match="seed"):
+            estimate_sop(make_sop([0.7, 1.9]), 10_000, seed)
+
+    def test_numpy_integers_accepted_as_plain_types(self):
+        sc = make_sop([0.7, 1.9])
+        est = estimate_sop(sc, np.int64(10_000), np.uint32(1))
+        assert est == estimate_sop(sc, 10_000, 1)
+        assert type(est.n_samples) is int and type(est.seed) is int
+        assert type(est.p_out) is float and type(est.std_error) is float
+
     def test_backend_parameter(self):
         pytest.importorskip("numba")
         sc = make_sop([0.7, 1.9])
