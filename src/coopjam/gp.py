@@ -4,15 +4,22 @@ The secrecy-rate objective is a ratio of posynomials in the jammer
 powers, which is not directly a geometric program.  The denominator
 posynomial is condensed into a single monomial by the weighted AM-GM
 inequality (evaluated at an expansion point, where the bound is tight),
-turning each SINR-ratio constraint into a valid GP constraint.  The
-resulting program is solved in log space by a log-barrier Newton method.
+turning each SINR-ratio constraint into a valid GP constraint.
+
+Programs are held as dense arrays: every constraint term's log
+coefficient and exponent row, stacked constraint by constraint.  The
+builder forms them for all eavesdroppers at once, and the solver, a
+primal-dual interior-point method in log space, reads them directly.
+``Monomial`` and ``Posynomial`` objects are views for callers that want
+individual terms.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dgesv, dposv
 
 from .errors import (AccuracyError, DomainError, InvalidInputError,
                      NumericalError)
@@ -26,7 +33,7 @@ def _logsumexp(v: np.ndarray) -> float:
 
     Same arithmetic as ``scipy.special.logsumexp`` (the maximal terms
     split off, the rest through log1p), without its per-call overhead,
-    which dominated condensing and evaluating these few-term sums.
+    which dominated evaluating these few-term sums.
     """
     top = v.max()
     at_top = v == top
@@ -60,32 +67,40 @@ class Monomial:
         return float(math.exp(math.log(self.coeff) + self.exponents @ np.log(x)))
 
 
-@dataclass(frozen=True)
 class Posynomial:
-    """Sum of monomials over a common variable vector."""
+    """Sum of monomials over a common variable vector.
 
-    terms: tuple
+    Held as its coefficient vector and exponent matrix (one row per
+    term); ``terms`` gives the same terms as ``Monomial`` objects.
+    """
 
-    def __post_init__(self):
-        terms = tuple(self.terms)
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, terms):
+        terms = tuple(terms)
         if not terms:
             raise InvalidInputError("posynomial needs at least one term")
         widths = {t.n_vars for t in terms}
         if len(widths) != 1:
             raise InvalidInputError(f"mixed term widths {widths}")
+        self.coeffs = np.array([t.coeff for t in terms])
+        self.exponent_matrix = np.vstack([t.exponents for t in terms])
+        self.__dict__["terms"] = terms
+
+    @classmethod
+    def _from_arrays(cls, coeffs: np.ndarray, exponent_matrix: np.ndarray):
+        """View of terms whose arrays the caller has already checked."""
+        g = cls.__new__(cls)
+        g.coeffs = coeffs
+        g.exponent_matrix = exponent_matrix
+        return g
+
+    @cached_property
+    def terms(self) -> tuple:
+        return tuple(Monomial(coeff=float(c), exponents=e)
+                     for c, e in zip(self.coeffs, self.exponent_matrix))
 
     @property
     def n_vars(self) -> int:
-        return self.terms[0].n_vars
-
-    @cached_property
-    def coeffs(self) -> np.ndarray:
-        return np.array([t.coeff for t in self.terms])
-
-    @cached_property
-    def exponent_matrix(self) -> np.ndarray:
-        return np.vstack([t.exponents for t in self.terms])
+        return self.exponent_matrix.shape[1]
 
     def evaluate(self, x) -> float:
         x = _positive_point(x, self.n_vars)
@@ -115,6 +130,28 @@ class CondensationWeights:
             raise InvalidInputError("weights must be positive and sum to 1")
 
 
+def _condense_rows(log_coeffs: np.ndarray, exponents: np.ndarray,
+                   log_x: np.ndarray, clamp: float):
+    """Condense each row of a stack of posynomials sharing one exponent
+    matrix; a row's absent terms carry log coefficient -inf.
+
+    Returns (log coefficient (R,), exponents (R, n), weights (R, K)) of
+    the condensed monomials; absent terms get weight 0.
+    """
+    logs = log_coeffs + exponents @ log_x
+    alpha = np.exp(logs - logs.max(axis=1, keepdims=True))
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    present = log_coeffs > -np.inf
+    low = present & (alpha < clamp)
+    if low.any():
+        alpha[low] = clamp
+        alpha /= alpha.sum(axis=1, keepdims=True)
+    safe_log_c = np.where(present, log_coeffs, 0.0)
+    safe_log_a = np.log(np.where(present, alpha, 1.0))
+    log_hat = (alpha * (safe_log_c - safe_log_a)).sum(axis=1)
+    return log_hat, alpha @ exponents, alpha
+
+
 def condense(g: Posynomial, x_hat, clamp: float = DEFAULT_WEIGHT_CLAMP):
     """Best monomial lower bound of ``g`` touching it at ``x_hat``.
 
@@ -125,63 +162,73 @@ def condense(g: Posynomial, x_hat, clamp: float = DEFAULT_WEIGHT_CLAMP):
     keeps downstream log-space arithmetic finite.
     """
     x_hat = _positive_point(x_hat, g.n_vars)
-    logs = np.log(g.coeffs) + g.exponent_matrix @ np.log(x_hat)
-    alpha = np.exp(logs - _logsumexp(logs))
-    if (alpha < clamp).any():
-        alpha = np.maximum(alpha, clamp)
-        alpha = alpha / alpha.sum()
-    log_coeff = float(alpha @ (np.log(g.coeffs) - np.log(alpha)))
-    exponents = alpha @ g.exponent_matrix
-    return (Monomial(coeff=math.exp(log_coeff), exponents=exponents),
-            CondensationWeights(alpha=alpha))
+    log_hat, e_hat, alpha = _condense_rows(
+        np.log(g.coeffs)[None, :], g.exponent_matrix, np.log(x_hat), clamp)
+    return (Monomial(coeff=math.exp(log_hat[0]), exponents=e_hat[0]),
+            CondensationWeights(alpha=alpha[0]))
 
 
 # ---------------------------------------------------------------------------
 # SINR-ratio posynomials
 # ---------------------------------------------------------------------------
 
-def _product_posynomial(factor_a, factor_b, n_vars: int) -> Posynomial:
-    """Expand (sum factor_a) * (sum factor_b) keeping like terms apart.
+@lru_cache(maxsize=None)
+def _product_layout(n: int):
+    """Exponent rows of (sum_i a_i p_i + a_n + a_{n+1}) *
+    (sum_j b_j p_j + b_n), one per (i, j) pair, ordered by exponent
+    vector (stably, so like terms keep their (i, j) order), and the
+    permutation taking the flattened (i, j) grid to that order."""
+    e_a = np.vstack([np.eye(n), np.zeros((2, n))])
+    e_b = np.vstack([np.eye(n), np.zeros((1, n))])
+    e = (e_a[:, None, :] + e_b[None, :, :]).reshape(-1, n)
+    order = np.lexsort(e.T[::-1])
+    e = e[order]
+    e.setflags(write=False)
+    order.setflags(write=False)
+    return e, order
 
-    Factors are lists of (coeff, var_index or None).  Zero-coefficient
-    terms are dropped; terms are ordered by exponent vector so the
-    layout is deterministic regardless of input order.
+
+def _ratio_coefficients(scenario: Scenario, gains: ChannelGains):
+    """(numerator, denominator) term coefficients of every eavesdropper's
+    SINR ratio, shape (M, (N+2)(N+1)), in ``_product_layout`` order.
+
+    Eavesdropper m's ratio (1 + SINR_e_m) / (1 + SINR_d) is
+    (g_e[m] p + s_e[m] + ps h_e[m]) (g_d p + s_d)
+    / ((g_d p + ps h_d + s_d) (g_e[m] p + s_e[m])).
+    Zero gains leave zero coefficients in place.
     """
-    terms = []
-    for ca, ia in factor_a:
-        for cb, ib in factor_b:
-            c = ca * cb
-            if c == 0.0:
-                continue
-            e = np.zeros(n_vars)
-            if ia is not None:
-                e[ia] += 1.0
-            if ib is not None:
-                e[ib] += 1.0
-            terms.append(Monomial(coeff=float(c), exponents=e))
-    if not terms:
+    _, order = _product_layout(scenario.n_jammers)
+    m = scenario.n_eavesdroppers
+    ps, s_d, s_e = scenario.p_source, scenario.sigma2_dest, scenario.sigma2_eaves
+    num_a = np.column_stack([gains.g_e, s_e, ps * gains.h_e])
+    num_b = np.append(gains.g_d, s_d)
+    den_a = np.append(gains.g_d, [ps * gains.h_d, s_d])
+    den_b = np.column_stack([gains.g_e, s_e])
+    num = (num_a[:, :, None] * num_b).reshape(m, -1)[:, order]
+    den = (den_a[:, None] * den_b[:, None, :]).reshape(m, -1)[:, order]
+    return num, den
+
+
+def _posynomial_view(coeffs: np.ndarray, exponents: np.ndarray) -> Posynomial:
+    keep = coeffs != 0.0
+    if not keep.any():
         raise InvalidInputError("posynomial product collapsed to zero")
-    terms.sort(key=lambda t: tuple(t.exponents))
-    return Posynomial(terms=tuple(terms))
+    return Posynomial._from_arrays(coeffs[keep], exponents[keep])
 
 
 def sinr_ratio_parts(scenario: Scenario, gains: ChannelGains, m: int):
     """(numerator, denominator) posynomials in the jammer powers whose
-    ratio equals (1 + eavesdropper-m SINR) / (1 + destination SINR)."""
+    ratio equals (1 + eavesdropper-m SINR) / (1 + destination SINR).
+
+    Zero-coefficient terms are dropped; terms are ordered by exponent
+    vector, like terms kept apart.
+    """
     _check_dims(scenario, gains)
     if not 0 <= m < scenario.n_eavesdroppers:
         raise InvalidInputError(f"eavesdropper index {m} out of range")
-    n = scenario.n_jammers
-    jam_d = [(gains.g_d[i], i) for i in range(n)]
-    jam_e = [(gains.g_e[m, i], i) for i in range(n)]
-    ps = scenario.p_source
-    numerator = _product_posynomial(
-        jam_e + [(scenario.sigma2_eaves[m], None), (ps * gains.h_e[m], None)],
-        jam_d + [(scenario.sigma2_dest, None)], n)
-    denominator = _product_posynomial(
-        jam_d + [(ps * gains.h_d, None), (scenario.sigma2_dest, None)],
-        jam_e + [(scenario.sigma2_eaves[m], None)], n)
-    return numerator, denominator
+    e, _ = _product_layout(scenario.n_jammers)
+    num, den = _ratio_coefficients(scenario, gains)
+    return _posynomial_view(num[m], e), _posynomial_view(den[m], e)
 
 
 @dataclass(frozen=True)
@@ -196,42 +243,97 @@ class CondensedRatio:
         return self.numerator.evaluate(p) / self.denominator_hat.evaluate(p)
 
 
+def _condensed_arrays(scenario: Scenario, gains: ChannelGains, p: np.ndarray):
+    """Every eavesdropper's ratio condensed at the positive point ``p``.
+
+    Returns (num, log_num, log_hat, e_hat, ratios): the numerator
+    coefficients and their logs (-inf where zero), the condensed
+    denominators' log coefficients and exponents, and the
+    ``CondensedRatio`` views.
+    """
+    e, _ = _product_layout(scenario.n_jammers)
+    num, den = _ratio_coefficients(scenario, gains)
+    with np.errstate(divide="ignore"):
+        log_num = np.log(num)
+        log_den = np.log(den)
+    log_hat, e_hat, alpha = _condense_rows(log_den, e, np.log(p),
+                                           DEFAULT_WEIGHT_CLAMP)
+    ratios = [CondensedRatio(
+        numerator=_posynomial_view(num[m], e),
+        denominator_hat=Monomial(coeff=math.exp(log_hat[m]),
+                                 exponents=e_hat[m]),
+        weights=CondensationWeights(alpha=alpha[m][den[m] != 0.0]))
+        for m in range(scenario.n_eavesdroppers)]
+    return num, log_num, log_hat, e_hat, ratios
+
+
 def condensed_ratios(scenario: Scenario, gains: ChannelGains, p_tilde):
     """Condense every eavesdropper's ratio denominator at ``p_tilde``."""
-    out = []
-    for m in range(scenario.n_eavesdroppers):
-        num, den = sinr_ratio_parts(scenario, gains, m)
-        den_hat, w = condense(den, p_tilde)
-        out.append(CondensedRatio(numerator=num, denominator_hat=den_hat,
-                                  weights=w))
-    return out
+    _check_dims(scenario, gains)
+    p = _positive_point(p_tilde, scenario.n_jammers)
+    return _condensed_arrays(scenario, gains, p)[-1]
 
 
 # ---------------------------------------------------------------------------
 # GP assembly and solve
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GpProblem:
     """min objective (monomial) s.t. each posynomial constraint <= 1.
 
-    ``warm_start`` must be strictly feasible; the log-barrier solver
-    starts from it directly.
+    Stored as the arrays the solver reads: ``log_coeffs`` (T,) and
+    ``exponents`` (T, n) of all constraint terms stacked constraint by
+    constraint, and ``sizes``, each constraint's term count.
+    ``constraints`` gives the same constraints as ``Posynomial`` views.
+    ``warm_start`` must be strictly feasible; the solver starts from it
+    directly.
     """
 
-    objective: Monomial
-    constraints: tuple
-    warm_start: np.ndarray
-
-    def __post_init__(self):
-        n = self.objective.n_vars
-        for g in self.constraints:
+    def __init__(self, objective: Monomial, constraints, warm_start):
+        constraints = tuple(constraints)
+        n = objective.n_vars
+        for g in constraints:
             if g.n_vars != n:
                 raise InvalidInputError("constraint width mismatch")
-        ws = np.asarray(self.warm_start, dtype=float)
-        object.__setattr__(self, "warm_start", ws)
+        if constraints:
+            log_coeffs = np.concatenate([np.log(g.coeffs) for g in constraints])
+            exponents = np.vstack([g.exponent_matrix for g in constraints])
+        else:
+            log_coeffs, exponents = np.empty(0), np.empty((0, n))
+        sizes = np.array([len(g.coeffs) for g in constraints], dtype=int)
+        self._init(objective, log_coeffs, exponents, sizes, warm_start)
+        self.__dict__["constraints"] = constraints
+
+    @classmethod
+    def from_arrays(cls, objective: Monomial, log_coeffs, exponents, sizes,
+                    warm_start):
+        """Problem from stacked term arrays (see the class docstring)."""
+        problem = cls.__new__(cls)
+        problem._init(objective, np.asarray(log_coeffs, dtype=float),
+                      np.asarray(exponents, dtype=float),
+                      np.asarray(sizes, dtype=int), warm_start)
+        return problem
+
+    def _init(self, objective, log_coeffs, exponents, sizes, warm_start):
+        n = objective.n_vars
+        if (exponents.shape != (log_coeffs.size, n)
+                or (sizes < 1).any() or sizes.sum() != log_coeffs.size):
+            raise InvalidInputError("constraint arrays do not match")
+        ws = np.asarray(warm_start, dtype=float)
         if ws.shape != (n,) or not ((ws > 0).all() and np.isfinite(ws).all()):
             raise InvalidInputError("warm start must be strictly positive")
+        self.objective = objective
+        self.log_coeffs = log_coeffs
+        self.exponents = exponents
+        self.sizes = sizes
+        self.warm_start = ws
+
+    @cached_property
+    def constraints(self) -> tuple:
+        cuts = np.cumsum(self.sizes)[:-1]
+        return tuple(Posynomial._from_arrays(np.exp(b), a) for b, a in
+                     zip(np.split(self.log_coeffs, cuts),
+                         np.split(self.exponents, cuts)))
 
     @property
     def n_vars(self) -> int:
@@ -248,6 +350,9 @@ def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde,
 
     Variables are (p_1..p_N, t); t upper-bounds every condensed SINR
     ratio, so minimising t maximises the approximate secrecy rate.
+    Constraints: one per eavesdropper (its numerator's nonzero terms
+    over its condensed denominator and t), then p_i <= p_max[i] and
+    p_floor <= p_i for each jammer.
     Returns (problem, ratios); the ratios expose the condensation used.
     """
     _check_dims(scenario, gains)
@@ -259,40 +364,38 @@ def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde,
         raise InvalidInputError(f"expansion point shape {p_tilde.shape} != ({n},)")
     if (p_tilde < 0).any() or (p_tilde > scenario.p_max * (1 + 1e-9)).any():
         raise InvalidInputError("expansion point outside the power box")
-    # strict interior, where logs and the barrier are finite
+    # strict interior, where logs are finite and the warm start feasible
     p_int = np.clip(p_tilde, p_floor * (1 + 1e-6),
                     scenario.p_max * (1 - 1e-9))
 
-    ratios = condensed_ratios(scenario, gains, p_int)
-    nv = n + 1
-    t_col = np.zeros(nv)
+    num, log_num, log_hat, e_hat, ratios = _condensed_arrays(
+        scenario, gains, p_int)
+    e, _ = _product_layout(n)
+    m, k = num.shape
+    # ratio rows: numerator term / condensed denominator / t
+    b_ratio = log_num - log_hat[:, None]
+    a_ratio = np.empty((m, k, n + 1))
+    np.subtract(e, e_hat[:, None, :], out=a_ratio[:, :, :n])
+    a_ratio[:, :, n] = -1.0
+    # box rows, per jammer: p_i / p_max[i] <= 1, then p_floor / p_i <= 1
+    b_box = np.empty(2 * n)
+    b_box[0::2] = -np.log(scenario.p_max)
+    b_box[1::2] = math.log(p_floor)
+    a_box = np.zeros((2 * n, n + 1))
+    a_box[0::2, :n] = np.eye(n)
+    a_box[1::2, :n] = -np.eye(n)
+
+    # t starts just above the worst condensed ratio at p_int
+    ratio = np.exp(b_ratio + a_ratio[:, :, :n] @ np.log(p_int)).sum(axis=1)
+    warm = np.append(p_int, float(ratio.max()) * math.exp(0.1))
+    t_col = np.zeros(n + 1)
     t_col[n] = 1.0
-
-    constraints = []
-    for r in ratios:
-        den_c = r.denominator_hat.coeff
-        den_e = r.denominator_hat.exponents
-        terms = []
-        for mono in r.numerator.terms:
-            e = np.zeros(nv)
-            e[:n] = mono.exponents - den_e
-            e[n] = -1.0
-            terms.append(Monomial(coeff=mono.coeff / den_c, exponents=e))
-        constraints.append(Posynomial(terms=tuple(terms)))
-    for i in range(n):
-        up = np.zeros(nv)
-        up[i] = 1.0
-        constraints.append(Posynomial(
-            terms=(Monomial(coeff=1.0 / scenario.p_max[i], exponents=up),)))
-        down = np.zeros(nv)
-        down[i] = -1.0
-        constraints.append(Posynomial(
-            terms=(Monomial(coeff=p_floor, exponents=down),)))
-
-    t0 = max(r.evaluate(p_int) for r in ratios) * math.exp(0.1)
-    warm = np.append(p_int, t0)
-    problem = GpProblem(objective=Monomial(coeff=1.0, exponents=t_col),
-                        constraints=tuple(constraints), warm_start=warm)
+    keep = num != 0.0  # zero-gain terms are left out
+    problem = GpProblem.from_arrays(
+        Monomial(coeff=1.0, exponents=t_col),
+        np.concatenate([b_ratio[keep], b_box]),
+        np.vstack([a_ratio[keep], a_box]),
+        np.concatenate([keep.sum(axis=1), np.ones(2 * n, dtype=int)]), warm)
     return problem, ratios
 
 
@@ -304,106 +407,123 @@ class GpSolution:
     newton_iterations: int
 
 
+# Primal-dual parameters (Boyd & Vandenberghe, Convex Optimization,
+# §11.7.3): t = _MU * m / eta, fraction-to-boundary _STEP_BACK, residual
+# decrease _ARMIJO per unit step, backtracking factor 1/2, and the
+# dual-residual norm a solution must reach.
+_MU = 5.0
+_STEP_BACK = 0.99
+_ARMIJO = 0.01
+_DUAL_TOL = 1e-8
+
+
 def gp_solve(problem: GpProblem, tol: float = 1e-9,
              max_newton: int = 600) -> GpSolution:
-    """Log-barrier interior-point solve of a geometric program.
+    """Primal-dual interior-point solve of a geometric program.
 
-    Works on z = log x, where the objective is linear and each
-    constraint is log-sum-exp (convex).  The barrier parameter grows
-    geometrically until the duality gap certificate m/t_bar drops below
-    ``tol``; the reported objective is then within ~tol of optimal in
-    log terms (relative in x).
+    Works on z = log x, where the objective c'z is linear and each
+    constraint f_j(z) = log(sum of its terms) is log-sum-exp (convex).
+    Each iteration takes one Newton step on the perturbed KKT residual
+    (c + Df' lam, -lam*f - 1/t) with t = mu*m/eta, eta = -f'lam the
+    surrogate duality gap; eliminating the dual step leaves one n x n
+    system.  The step keeps lam and the linearised slacks -f - Df dz a
+    fraction away from zero, then backtracks until the residual norm
+    falls.  Stops once eta <= ``tol`` and the dual residual is below
+    1e-8, so the reported objective is within ~tol of optimal in log
+    terms (relative in x).  ``max_newton`` caps the iterations;
+    reaching it, or a step that cannot lower the residual, raises
+    ``AccuracyError`` carrying the current point.
     """
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
-    m_c = len(problem.constraints)
+    m_c = problem.sizes.size
     if m_c == 0:
         raise InvalidInputError("unbounded GP: no constraints")
-    # All constraint terms stacked row-wise; reduceat segments recover
-    # the per-constraint log-sum-exp without a Python loop.
-    b_all = np.concatenate([np.log(g.coeffs) for g in problem.constraints])
-    a_all = np.vstack([g.exponent_matrix for g in problem.constraints])
-    sizes = np.array([len(g.terms) for g in problem.constraints])
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    groups = np.repeat(np.arange(m_c), sizes)
-    c_obj = problem.objective.exponents
+    b, a = problem.log_coeffs, problem.exponents
+    n_terms = b.size
+    starts = np.concatenate(([0], np.cumsum(problem.sizes)[:-1]))
+    groups = np.repeat(np.arange(m_c), problem.sizes)
+    c = problem.objective.exponents
+    n = c.size
+    # The Newton matrix sum_j lam_j Hess f_j + Df' diag(lam/(-f)) Df is
+    # k' diag(weights) k with k = [term exponents; Df] and weights
+    # [lam_j(k) * w_k; lam * (1/(-f) - 1)], w the softmax weights of the
+    # terms within their constraint.
+    k = np.vstack([a, np.empty((m_c, n))])
+    weights = np.empty(n_terms + m_c)
 
-    def constraint_logs(z):
-        v = b_all + a_all @ z
+    def evaluate(z):
+        """Constraint values f, term weights w and Jacobian Df at z."""
+        v = b + a.dot(z)
         tops = np.maximum.reduceat(v, starts)
         ex = np.exp(v - tops[groups])
-        return tops + np.log(np.add.reduceat(ex, starts))
+        sums = np.add.reduceat(ex, starts)
+        w = ex / sums[groups]
+        return (tops + np.log(sums), w,
+                np.add.reduceat(a * w[:, None], starts))
+
+    def failure(message, z, eta, iterations):
+        x = np.exp(z)
+        return AccuracyError(message, best_estimate=GpSolution(
+            x=x, value=problem.objective.evaluate(x), duality_gap=eta,
+            newton_iterations=iterations))
 
     z = np.log(problem.warm_start)
-    fvals = constraint_logs(z)
-    if (fvals >= 0).any():
+    f, w, df = evaluate(z)
+    if (f >= 0).any():
         raise InvalidInputError(
             f"warm start violates constraints (max log value "
-            f"{fvals.max():.3g})")
-
-    n = z.size
-    t_bar = 1.0
-    total_newton = 0
+            f"{f.max():.3g})")
+    # 1/(-f) would start near-active constraints, such as a warm start
+    # clipped just inside the power box, with huge multipliers
+    lam = 1.0 / np.maximum(-f, 1.0)
+    r_dual = c + df.T.dot(lam)
+    iterations = 0
     while True:
-        # Newton on t_bar*c@z - sum log(-f_j)
-        prev_decrement = np.inf
-        for _ in range(60):
-            v = b_all + a_all @ z
-            tops = np.maximum.reduceat(v, starts)
-            ex = np.exp(v - tops[groups])
-            sums = np.add.reduceat(ex, starts)
-            fvals = tops + np.log(sums)
-            w = ex / sums[groups]              # softmax within constraints
-            s = -fvals                          # barrier slacks, > 0
-            grad = t_bar * c_obj + a_all.T @ (w / s[groups])
-            gj = np.add.reduceat(a_all * w[:, None], starts, axis=0)
-            hess = ((a_all * (w / s[groups])[:, None]).T @ a_all
-                    + gj.T @ (gj * (1.0 / s ** 2 - 1.0 / s)[:, None]))
-            try:
-                dz = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                dz = np.linalg.solve(hess + 1e-10 * np.eye(n), -grad)
-            decrement = float(-grad @ dz)
-            if not np.isfinite(decrement) or decrement < 0:
-                dz = np.linalg.solve(hess + 1e-8 * np.eye(n), -grad)
-                decrement = float(-grad @ dz)
-                if not np.isfinite(decrement) or decrement < 0:
-                    raise NumericalError("Newton direction became indefinite")
-            total_newton += 1
-            if decrement <= 2e-12:
-                break
-            # Close to the centre each Newton step squares the decrement.
-            # Once it stops falling, rounding sets the floor: the active
-            # slacks shrink like 1/t_bar, so late stages cannot reach
-            # 2e-12 and would spin on null steps until the cap.
-            if decrement < 1e-6 and decrement > 0.5 * prev_decrement:
-                break
-            prev_decrement = decrement
-            phi0 = t_bar * (c_obj @ z) - np.log(-fvals).sum()
-            alpha = 1.0
-            while alpha > 1e-14:
-                z_new = z + alpha * dz
-                f_new = constraint_logs(z_new)
-                if (f_new < 0).all():
-                    phi_new = t_bar * (c_obj @ z_new) - np.log(-f_new).sum()
-                    if phi_new <= phi0 - 0.25 * alpha * decrement:
-                        break
-                alpha *= 0.5
-            else:
-                break  # no admissible step; centring is as good as it gets
-            z, fvals = z_new, f_new
-            if total_newton >= max_newton:
-                x = np.exp(z)
-                raise AccuracyError(
-                    f"GP barrier hit the Newton budget ({max_newton})",
-                    best_estimate=GpSolution(
-                        x=x, value=problem.objective.evaluate(x),
-                        duality_gap=m_c / t_bar,
-                        newton_iterations=total_newton))
-        if m_c / t_bar <= tol:
+        lam_f = lam * f
+        eta = -float(lam_f.sum())
+        dual_sq = float(r_dual.dot(r_dual))
+        if eta <= tol and dual_sq <= _DUAL_TOL ** 2:
             break
-        t_bar *= 20.0
+        if iterations >= max_newton:
+            raise failure(f"GP solver hit the iteration budget ({max_newton})",
+                          z, eta, iterations)
+        inv_t = eta / (_MU * m_c)
+        inv_s = -1.0 / f
+        k[n_terms:] = df
+        np.multiply(lam[groups], w, out=weights[:n_terms])
+        np.multiply(lam, inv_s - 1.0, out=weights[n_terms:])
+        hess = (k.T * weights).dot(k)
+        rhs = df.T.dot(inv_s * -inv_t) - c
+        _, dz, info = dposv(hess, rhs)
+        if info:
+            _, _, dz, info = dgesv(hess + 1e-10 * np.eye(n), rhs)
+        if info or not math.isfinite(float(dz.dot(dz))):
+            raise NumericalError("GP Newton system is singular")
+        iterations += 1
+        ddz = df.dot(dz)
+        dlam = inv_s * (lam * ddz + inv_t) - lam
+        step = _STEP_BACK / max(1.0, float((-dlam / lam).max()),
+                                float((ddz * inv_s).max()))
+        r_cent = lam_f + inv_t  # negated; only its norm is used
+        res = math.sqrt(dual_sq + float(r_cent.dot(r_cent)))
+        while True:
+            z_new = z + step * dz
+            lam_new = lam + step * dlam
+            f_new, w_new, df_new = evaluate(z_new)
+            if max(f_new.tolist()) < 0:
+                r_dual_new = c + df_new.T.dot(lam_new)
+                r_cent = lam_new * f_new + inv_t
+                if (math.sqrt(float(r_dual_new.dot(r_dual_new))
+                              + float(r_cent.dot(r_cent)))
+                        <= (1.0 - _ARMIJO * step) * res):
+                    break
+            step *= 0.5
+            if step < 1e-14:
+                raise failure("GP line search found no residual decrease",
+                              z, eta, iterations)
+        z, lam, f, w, df = z_new, lam_new, f_new, w_new, df_new
+        r_dual = r_dual_new
     x = np.exp(z)
     return GpSolution(x=x, value=problem.objective.evaluate(x),
-                      duality_gap=m_c / t_bar,
-                      newton_iterations=total_newton)
+                      duality_gap=eta, newton_iterations=iterations)

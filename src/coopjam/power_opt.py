@@ -152,6 +152,17 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
 # search over received jamming power (independent route)
 # ---------------------------------------------------------------------------
 
+def _onto_slice(p, g_d, t0: float, p_max):
+    """Move the in-box ``p`` onto g_d @ p = t0 by shifting coordinates
+    with g_d > 0 in turn, each within [0, p_max]."""
+    gap = t0 - float(g_d @ p)
+    for i in np.flatnonzero(g_d > 0):
+        target = min(max(p[i] + gap / g_d[i], 0.0), p_max[i])
+        gap -= (target - p[i]) * g_d[i]
+        p[i] = target
+    return p
+
+
 def _slice_optimum(scenario: Scenario, gains: ChannelGains, t0: float):
     """Best worst-eavesdropper capacity ratio on the slice where the
     destination receives total jamming power exactly t0.
@@ -168,10 +179,14 @@ def _slice_optimum(scenario: Scenario, gains: ChannelGains, t0: float):
 
     over the eavesdroppers with h_e[m] > 0.  Without any, u is unbounded
     and the slice's ratio is top at every point.
+
+    The LP's witness may sit outside the box by up to the solver's
+    feasibility tolerance.  It is then clipped into the box and moved
+    back onto the slice (``_onto_slice``), and q is the exact ratio at
+    the result, top included: the value returned is always one that
+    the returned in-box allocation attains.
     """
     n = scenario.n_jammers
-    gd = scenario.p_source * gains.h_d / (scenario.sigma2_dest + t0)
-    top = 1.0 + gd
     active = np.flatnonzero(gains.h_e > 0)
     if not active.size:
         lp = LinearProgram(c=np.ones(n), rows=((gains.g_d, "=", t0),),
@@ -193,7 +208,12 @@ def _slice_optimum(scenario: Scenario, gains: ChannelGains, t0: float):
         res = lp_solve(lp, presolve=False)
     if res.status != "optimal":
         raise NumericalError(f"slice t0={t0} LP is {res.status}")
-    p = res.x[:n]
+    x = res.x[:n]
+    p = np.clip(x, 0.0, scenario.p_max)
+    if ((x < 0) | (x > scenario.p_max)).any():
+        p = _onto_slice(p, gains.g_d, t0, scenario.p_max)
+    top = 1.0 + scenario.p_source * gains.h_d / (scenario.sigma2_dest
+                                                 + float(gains.g_d @ p))
     if not active.size:
         return top, p
     # Score the witness itself rather than the solver's u, which may sit
@@ -248,7 +268,7 @@ def algorithm_b(scenario: Scenario, gains: ChannelGains,
             bisect_max(q_of, lo, hi, eps)
 
     best_t0 = min(sorted(cache), key=lambda t: (-cache[t][0], t))
-    p_best = np.clip(cache[best_t0][1], 0.0, scenario.p_max)
+    p_best = cache[best_t0][1]
     return (PowerAllocation(p_best),
             secrecy_rate(scenario, gains, p_best))
 

@@ -102,6 +102,7 @@ def test_criterion_02_grid_search_oracle():
 
 
 def test_criterion_03_monotone_and_init_insensitive():
+    t0 = time.perf_counter()
     worst_drop = worst_gap = 0.0
     for g in feasible_draws(WORKHORSE, 202, 100):
         _, r1, tr1 = algorithm_a(WORKHORSE, g, max_iter=300)
@@ -111,9 +112,10 @@ def test_criterion_03_monotone_and_init_insensitive():
             if d.size:
                 worst_drop = max(worst_drop, float(-d.min()))
         worst_gap = max(worst_gap, abs(r1 - r2))
+    elapsed = time.perf_counter() - t0
     ok = worst_drop <= 1e-9 and worst_gap <= 1e-4
     _verdict(3, ok, f"100 instances, worst trace drop {worst_drop:.2e}, "
-                    f"worst cross-init gap {worst_gap:.2e} bits")
+                    f"worst cross-init gap {worst_gap:.2e} bits, {elapsed:.0f}s")
 
 
 def test_criterion_04_condensation_bound():

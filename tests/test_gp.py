@@ -1,4 +1,5 @@
-"""Posynomial algebra, AM-GM condensation and the barrier GP solver."""
+"""Posynomial algebra, AM-GM condensation, the array-built SCA program
+and the primal-dual GP solver."""
 
 import math
 
@@ -231,3 +232,62 @@ class TestApproxProgram:
         g = sample_channels(scenario3x2, seed=7)
         with pytest.raises(InvalidInputError):
             build_approx_program(scenario3x2, g, scenario3x2.p_max * 2)
+
+
+# Value and iteration count of the workhorse program on seed 5 at half
+# power.  The value is the one the earlier log-barrier solver returned,
+# an independent route to the same optimum.
+SEED5_HALF_POWER_VALUE = 0.25477111506760197
+SEED5_HALF_POWER_ITERATIONS = 18
+
+
+class TestPrimalDual:
+    def test_matches_barrier_value(self, scenario3x2):
+        g = sample_channels(scenario3x2, seed=5)
+        prob, _ = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
+        sol = gp_solve(prob)
+        assert sol.value == pytest.approx(SEED5_HALF_POWER_VALUE, rel=1e-9)
+        assert sol.duality_gap <= 1e-9
+
+    def test_pinned_iteration_count(self, scenario3x2):
+        g = sample_channels(scenario3x2, seed=5)
+        prob, _ = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
+        assert gp_solve(prob).newton_iterations == SEED5_HALF_POWER_ITERATIONS
+
+    def test_warm_start_on_the_box_edge(self, scenario3x2):
+        # expanding at p_max clips the warm start to p_max*(1 - 1e-9), so
+        # each upper-box constraint starts 1e-9 from active
+        g = sample_channels(scenario3x2, seed=5)
+        prob, _ = build_approx_program(scenario3x2, g, scenario3x2.p_max)
+        n = scenario3x2.n_jammers
+        upper = prob.constraints[scenario3x2.n_eavesdroppers::2][:n]
+        for c in upper:
+            assert 1.0 - c.evaluate(prob.warm_start) < 2e-9
+        sol = gp_solve(prob)
+        assert sol.newton_iterations <= 40
+        assert sol.duality_gap <= 1e-9
+
+    def test_arrays_match_constraint_views(self, scenario3x2):
+        g = sample_channels(scenario3x2, seed=8)
+        prob, _ = build_approx_program(scenario3x2, g, scenario3x2.p_max / 3)
+        rebuilt = GpProblem(prob.objective, prob.constraints, prob.warm_start)
+        np.testing.assert_allclose(rebuilt.log_coeffs, prob.log_coeffs,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(rebuilt.exponents, prob.exponents)
+        np.testing.assert_array_equal(rebuilt.sizes, prob.sizes)
+        assert gp_solve(rebuilt).value == pytest.approx(gp_solve(prob).value,
+                                                        rel=1e-12)
+
+    def test_zero_gain_terms_left_out(self, scenario3x2):
+        from coopjam import ChannelGains
+        g = ChannelGains(h_d=1.0, h_e=[1.0, 1.0], g_d=[0.5, 0.0, 0.5],
+                         g_e=[[0.4, 0.4, 0.0], [0.4, 0.4, 0.4]])
+        prob, ratios = build_approx_program(scenario3x2, g,
+                                            scenario3x2.p_max / 2)
+        assert np.isfinite(prob.log_coeffs).all()
+        for m, r in enumerate(ratios):
+            num, _ = sinr_ratio_parts(scenario3x2, g, m)
+            assert prob.sizes[m] == len(num.terms) == len(r.numerator.terms)
+        sol = gp_solve(prob)
+        for r in ratios:
+            assert r.evaluate(sol.x[:3]) <= sol.value * (1 + 1e-8)
