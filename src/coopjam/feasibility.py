@@ -24,8 +24,10 @@ class FeasibilityVerdict:
     feasible: bool
     witness: PowerAllocation | None
     margin: float
-    """Worst-case slack of the strict inequalities at the witness (when
-    feasible) or the best achievable slack (when not, <= 0)."""
+    """Largest worst-case slack of the un-margined inequalities over the
+    power box, feasible or not: at least the strict margin when
+    feasible, below it when not (to LP tolerance).  The witness itself
+    may have less slack."""
 
 
 def default_strict_margin(scenario: Scenario, gains: ChannelGains) -> float:
@@ -34,54 +36,61 @@ def default_strict_margin(scenario: Scenario, gains: ChannelGains) -> float:
     return 1e-9 * max(1.0, float(np.max(np.abs(rhs))))
 
 
+def _inequalities(scenario: Scenario, gains: ChannelGains):
+    """The cross-multiplied inequalities as (a, b) pairs, a @ p > b."""
+    _check_dims(scenario, gains)
+    return [(gains.h_d * gains.g_e[j] - gains.h_e[j] * gains.g_d,
+             gains.h_e[j] * scenario.sigma2_dest
+             - gains.h_d * scenario.sigma2_eaves[j])
+            for j in range(scenario.n_eavesdroppers)]
+
+
 def build_feasibility_lp(scenario: Scenario, gains: ChannelGains,
                          strict_margin: float) -> LinearProgram:
     """Minimum-total-power LP whose feasibility decides positive secrecy."""
-    _check_dims(scenario, gains)
+    rows = tuple((a, ">=", b + strict_margin)
+                 for a, b in _inequalities(scenario, gains))
+    return LinearProgram(c=np.ones(scenario.n_jammers), rows=rows,
+                         lower=np.zeros(scenario.n_jammers),
+                         upper=scenario.p_max)
+
+
+def build_max_slack_lp(scenario: Scenario, gains: ChannelGains) -> LinearProgram:
+    """LP in (p, z) maximising the worst slack z <= a @ p - b of the
+    inequalities over the power box."""
     n = scenario.n_jammers
-    rows = []
-    for j in range(scenario.n_eavesdroppers):
-        a = gains.h_d * gains.g_e[j] - gains.h_e[j] * gains.g_d
-        b = (gains.h_e[j] * scenario.sigma2_dest
-             - gains.h_d * scenario.sigma2_eaves[j])
-        rows.append((a, ">=", b + strict_margin))
-    return LinearProgram(c=np.ones(n), rows=tuple(rows),
-                         lower=np.zeros(n), upper=scenario.p_max)
+    rows = tuple((np.append(a, -1.0), ">=", b)
+                 for a, b in _inequalities(scenario, gains))
+    return LinearProgram(c=np.append(np.zeros(n), -1.0), rows=rows,
+                         lower=np.append(np.zeros(n), -np.inf),
+                         upper=np.append(scenario.p_max, np.inf))
 
 
 def check_positive_secrecy(scenario: Scenario, gains: ChannelGains,
                            strict_margin: float | None = None) -> FeasibilityVerdict:
     """Decide whether some in-box allocation yields secrecy rate > 0.
 
-    The reported margin is exact slack against the un-margined
-    inequalities; a margin of ~0 means the instance sits on the
-    feasibility boundary and the verdict is margin-sensitive.
+    The witness of a feasible verdict is the minimum-total-power
+    allocation whose every slack is at least ``strict_margin``.  The
+    margin, in both verdicts, is the optimum of ``build_max_slack_lp``:
+    the largest worst-case slack any in-box allocation reaches against
+    the un-margined inequalities.  A margin of ~0 means the instance
+    sits on the feasibility boundary and the verdict is
+    margin-sensitive.
     """
     if strict_margin is None:
         strict_margin = default_strict_margin(scenario, gains)
-    lp = build_feasibility_lp(scenario, gains, strict_margin)
-    res = lp_solve(lp)
+    res = lp_solve(build_feasibility_lp(scenario, gains, strict_margin))
     if res.status == "optimal":
-        slack = [float(a @ res.x - (b - strict_margin))
-                 for a, _, b in lp.rows]
-        p = PowerAllocation(np.clip(res.x, 0.0, scenario.p_max))
-        return FeasibilityVerdict(feasible=True, witness=p,
-                                  margin=min(slack))
-    if res.status != "infeasible":
+        witness = PowerAllocation(np.clip(res.x, 0.0, scenario.p_max))
+    elif res.status == "infeasible":
+        witness = None
+    else:
         raise NumericalError(
             f"feasibility LP ended with status {res.status}")
-    # Infeasible: report how far away feasibility is by maximising the
-    # minimum slack z (z <= a@p - b for all rows).
-    n = scenario.n_jammers
-    rows = []
-    for a, _, b in lp.rows:
-        row = np.append(a, -1.0)
-        rows.append((row, ">=", b - strict_margin))
-    aux = LinearProgram(
-        c=np.append(np.zeros(n), -1.0),
-        rows=tuple(rows),
-        lower=np.append(np.zeros(n), -np.inf),
-        upper=np.append(scenario.p_max, np.inf))
-    aux_res = lp_solve(aux)
-    margin = float(aux_res.x[-1]) if aux_res.status == "optimal" else -np.inf
-    return FeasibilityVerdict(feasible=False, witness=None, margin=margin)
+    aux = lp_solve(build_max_slack_lp(scenario, gains))
+    if aux.status != "optimal":
+        raise NumericalError(
+            f"max-slack LP ended with status {aux.status}")
+    return FeasibilityVerdict(feasible=witness is not None, witness=witness,
+                              margin=float(aux.x[-1]))

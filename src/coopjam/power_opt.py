@@ -1,4 +1,4 @@
-"""Jammer power allocation: iterative GP ascent, a 1-d search
+"""Jammer power allocation: iterative GP ascent, an exact 1-d search
 cross-check, a single-jammer baseline, and a stationarity report.
 
 ``algorithm_a`` (successive convex approximation): condense the SINR
@@ -9,9 +9,12 @@ rate because the approximation touches from the conservative side.
 ``algorithm_b`` (search over received jamming power): fixing the total
 jamming power seen by the destination pins the destination SINR, after
 which the best worst-eavesdropper ratio on that slice is one linear
-program in the powers and a Charnes-Cooper variable.  An outer 1-d
-search over the slice parameter then recovers the global shape without
-any convexification, making this an independent check on algorithm A.
+program in the powers and a Charnes-Cooper variable.  That LP's value
+is concave and piecewise linear in the slice parameter; its few pieces
+are found exactly by a parametric LP (the sandwich method), and the
+rate's maximum on each piece has a closed form.  The result is the
+global optimum without any convexification, an independent check on
+algorithm A.
 """
 
 from dataclasses import dataclass
@@ -163,6 +166,48 @@ def _onto_slice(p, g_d, t0: float, p_max):
     return p
 
 
+# Past this many slice vertices algorithm_b gives up rather than loop.
+MAX_SLICE_VERTICES = 500
+
+# A tilted LP's witness is a new vertex only if it clears the chord by
+# more than this, relative to the larger end value of u.
+_CHORD_REL_TOL = 1e-11
+
+
+def _charnes_cooper_lp(scenario: Scenario, gains: ChannelGains, active,
+                       c_p, slice_t0=None) -> LinearProgram:
+    """LP in (p, u): minimise c_p @ p - u subject to the rows
+    g_e[m] @ p - p_source*h_e[m]*u >= -sigma2_e[m] for m in ``active``,
+    g_d @ p = slice_t0 if given, and 0 <= p <= p_max, u >= 0."""
+    h = scenario.p_source * gains.h_e[active]
+    rows = [(np.append(gains.g_e[m], -h_m), ">=", -s_m)
+            for m, h_m, s_m in zip(active, h, scenario.sigma2_eaves[active])]
+    if slice_t0 is not None:
+        rows.insert(0, (np.append(gains.g_d, 0.0), "=", slice_t0))
+    return LinearProgram(c=np.append(c_p, -1.0), rows=tuple(rows),
+                         lower=np.zeros(scenario.n_jammers + 1),
+                         upper=np.append(scenario.p_max, np.inf))
+
+
+def _attained_u(scenario: Scenario, gains: ChannelGains, active, p) -> float:
+    """min over ``active`` of 1/SINR_e_m at p: the u that p attains."""
+    return float(np.min((gains.g_e[active] @ p + scenario.sigma2_eaves[active])
+                        / (scenario.p_source * gains.h_e[active])))
+
+
+def _solve_feasible(lp: LinearProgram, what: str):
+    res = lp_solve(lp)
+    if res.status == "infeasible":
+        # Every LP solved here is feasible (p = 0, u = 0 is, and
+        # 0 <= t0 <= p_max @ g_d keeps a slice so), but HiGHS's presolve
+        # calls a slice infeasible when t0 sits within ~1e-9 relative of
+        # a vertex of the box.
+        res = lp_solve(lp, presolve=False)
+    if res.status != "optimal":
+        raise NumericalError(f"{what} LP is {res.status}")
+    return res
+
+
 def _slice_optimum(scenario: Scenario, gains: ChannelGains, t0: float):
     """Best worst-eavesdropper capacity ratio on the slice where the
     destination receives total jamming power exactly t0.
@@ -192,23 +237,8 @@ def _slice_optimum(scenario: Scenario, gains: ChannelGains, t0: float):
         lp = LinearProgram(c=np.ones(n), rows=((gains.g_d, "=", t0),),
                            lower=np.zeros(n), upper=scenario.p_max)
     else:
-        h = scenario.p_source * gains.h_e[active]
-        sig = scenario.sigma2_eaves[active]
-        rows = [(np.append(gains.g_d, 0.0), "=", t0)]
-        rows += [(np.append(gains.g_e[m], -h_m), ">=", -s_m)
-                 for m, h_m, s_m in zip(active, h, sig)]
-        lp = LinearProgram(c=np.append(np.zeros(n), -1.0), rows=tuple(rows),
-                           lower=np.zeros(n + 1),
-                           upper=np.append(scenario.p_max, np.inf))
-    res = lp_solve(lp)
-    if res.status == "infeasible":
-        # 0 <= t0 <= p_max @ g_d keeps the slice feasible, but HiGHS's
-        # presolve calls it infeasible when t0 sits within ~1e-9 relative
-        # of a vertex of the box, where algorithm_b's search often ends.
-        res = lp_solve(lp, presolve=False)
-    if res.status != "optimal":
-        raise NumericalError(f"slice t0={t0} LP is {res.status}")
-    x = res.x[:n]
+        lp = _charnes_cooper_lp(scenario, gains, active, np.zeros(n), t0)
+    x = _solve_feasible(lp, f"slice t0={t0}").x[:n]
     p = np.clip(x, 0.0, scenario.p_max)
     if ((x < 0) | (x > scenario.p_max)).any():
         p = _onto_slice(p, gains.g_d, t0, scenario.p_max)
@@ -218,57 +248,131 @@ def _slice_optimum(scenario: Scenario, gains: ChannelGains, t0: float):
         return top, p
     # Score the witness itself rather than the solver's u, which may sit
     # up to the LP's feasibility tolerance past what p attains.
-    u = float(np.min((gains.g_e[active] @ p + sig) / h))
+    u = _attained_u(scenario, gains, active, p)
     q = top * u / (1.0 + u)
     return q if q > 0 else 1.0, p
 
 
-def algorithm_b(scenario: Scenario, gains: ChannelGains,
-                eps: float | None = None):
-    """Global 1-d search over the destination's received jamming power.
+def _slice_vertices(scenario: Scenario, gains: ChannelGains):
+    """Breakpoints of the slice value u*(t) over 0 <= t <= t_max.
 
-    Returns (allocation, rate) where the rate is evaluated exactly at
-    the best witness found.  Slower than algorithm_a but free of any
-    convex approximation, so the two should land on the same optimum.
+    u*(t), the optimum of ``_slice_optimum``'s LP as a function of the
+    received jamming power t = g_d @ p, is the value of an LP in one
+    right-hand side, so it is concave and piecewise linear.  The
+    sandwich method (Eisner & Severance, J. ACM 1976) finds its
+    vertices: the slice LP gives the two end points; for neighbours a
+    and b, the LP max u - lam*g_d@p with lam the slope of chord ab and
+    without the slice row either finds a point above the chord, a new
+    vertex between them, or shows that [a, b] is one linear piece.  With
+    k interior vertices that is 2k + 3 LPs.
+
+    Every point is scored at its LP witness clipped into the box: t and
+    u are what that allocation attains.  Returns (t, u, P) sorted by t,
+    with P[i] the allocation behind (t[i], u[i]); needs h_e > 0 for at
+    least one eavesdropper.
+    """
+    n = scenario.n_jammers
+    active = np.flatnonzero(gains.h_e > 0)
+
+    def point(lp, what):
+        p = np.clip(_solve_feasible(lp, what).x[:n], 0.0, scenario.p_max)
+        return float(gains.g_d @ p), _attained_u(scenario, gains, active, p), p
+
+    def on_slice(t0):
+        return point(_charnes_cooper_lp(scenario, gains, active,
+                                        np.zeros(n), t0), f"slice t0={t0}")
+
+    t_max = float(scenario.p_max @ gains.g_d)
+    found = [on_slice(0.0)]
+    pending = []
+    if t_max > 0.0:
+        found.append(on_slice(t_max))
+        pending.append((found[0], found[1]))
+    while pending:
+        a, b = pending.pop()
+        if b[0] <= a[0]:
+            continue
+        lam = (b[1] - a[1]) / (b[0] - a[0])
+        c = point(_charnes_cooper_lp(scenario, gains, active, lam * gains.g_d),
+                  f"tilted lam={lam}")
+        rise = (c[1] - lam * c[0]) - (a[1] - lam * a[0])
+        if (a[0] < c[0] < b[0]
+                and rise > _CHORD_REL_TOL * max(abs(a[1]), abs(b[1]))):
+            if len(found) >= MAX_SLICE_VERTICES:
+                raise NumericalError(
+                    f"slice value has over {MAX_SLICE_VERTICES} vertices")
+            found.append(c)
+            pending += [(a, c), (c, b)]
+    found.sort(key=lambda v: v[0])
+    return tuple(map(np.array, zip(*found)))
+
+
+def _piece_stationary_points(t_a, u_a, t_b, u_b, a_src, sigma2_d):
+    """Interior stationary points of q(t) = (1 + A/(s2 + t))*u/(1 + u) on
+    the linear piece u = u_a + beta*(t - t_a), t_a < t < t_b.
+
+    With s = s2 + t and u = c0 + beta*s, q' = 0 reads
+    beta*s*(s + A) = A*u*(1 + u), i.e. the quadratic
+    beta*(1 - A*beta)*s^2 - 2*A*beta*c0*s - A*c0*(1 + c0) = 0.
+    """
+    beta = (u_b - u_a) / (t_b - t_a)
+    c0 = u_a - beta * (t_a + sigma2_d)
+    k2 = beta * (1.0 - a_src * beta)
+    k1 = -2.0 * a_src * beta * c0
+    k0 = -a_src * c0 * (1.0 + c0)
+    if k2 == 0.0:
+        roots = [-k0 / k1] if k1 != 0.0 else []
+    else:
+        disc = k1 * k1 - 4.0 * k2 * k0
+        if disc < 0.0:
+            return []
+        big = -0.5 * (k1 + np.copysign(np.sqrt(disc), k1))
+        roots = [big / k2] + ([k0 / big] if big != 0.0 else [])
+    return [s - sigma2_d for s in roots if t_a < s - sigma2_d < t_b]
+
+
+def algorithm_b(scenario: Scenario, gains: ChannelGains):
+    """Exact global search over the destination's received jamming power.
+
+    Fixing t = g_d @ p pins SINR_d, and the best worst-eavesdropper
+    ratio on that slice is top(t)*u*(t)/(1 + u*(t)) with u*(t) concave
+    and piecewise linear (``_slice_vertices``).  On each linear piece
+    the ratio is a 1-d rational function whose stationary points are
+    the roots of a quadratic, so its maximum over [0, t_max] is among
+    the vertices and those roots.  A root's allocation is the convex
+    combination of its piece's end allocations, which is in the box and
+    attains at least the piece's u.
+
+    Returns (allocation, rate), the rate evaluated exactly at the best
+    candidate (ties to the smallest t).  A handful of LPs per draw and
+    free of any convex approximation, so the result certifies the global
+    optimum that algorithm_a should reach.
     """
     _check_dims(scenario, gains)
-    t_max = float(scenario.p_max @ gains.g_d)
-    if eps is None:
-        eps = max(1e-9, 1e-7 * t_max)
-
-    cache = {}
-
-    def q_of(t0):
-        t0 = float(t0)
-        if t0 not in cache:
-            cache[t0] = _slice_optimum(scenario, gains, t0)
-        return cache[t0][0]
-
-    if t_max == 0.0:
-        q_of(0.0)
-    else:
-        # Pre-scan before the 1-d search: the objective is unimodal
-        # where the rate is positive, but that region can be a sliver of
-        # [0, t_max] when some jammer is nearly invisible to the
-        # destination.  Per-jammer caps and their partial sums are the
-        # natural breakpoints, so probing them (plus a uniform grid)
-        # brackets the peak; the search then refines locally.
-        caps = scenario.p_max * gains.g_d
-        grid = np.concatenate([np.linspace(0.0, t_max, 25), caps,
-                               np.cumsum(np.sort(caps)),
-                               [0.75 * t_max]])
-        grid = np.unique(np.clip(grid, 0.0, t_max))
-        for t in grid:
-            q_of(t)
-        qs = np.array([q_of(t) for t in grid])
-        k = int(np.argmax(qs))  # first max, so ties go to smaller t0
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, grid.size - 1)]
-        if hi > lo:
-            bisect_max(q_of, lo, hi, eps)
-
-    best_t0 = min(sorted(cache), key=lambda t: (-cache[t][0], t))
-    p_best = cache[best_t0][1]
+    if not (gains.h_e > 0).any():
+        # Jamming only hurts the destination when no eavesdropper hears
+        # the source.
+        p_best = np.zeros(scenario.n_jammers)
+        return (PowerAllocation(p_best),
+                secrecy_rate(scenario, gains, p_best))
+    ts, us, ps = _slice_vertices(scenario, gains)
+    a_src = scenario.p_source * gains.h_d
+    cands = [ps]
+    for k in range(ts.size - 1):
+        if ts[k + 1] <= ts[k]:
+            continue
+        for t in _piece_stationary_points(ts[k], us[k], ts[k + 1], us[k + 1],
+                                          a_src, scenario.sigma2_dest):
+            w = (t - ts[k]) / (ts[k + 1] - ts[k])
+            cands.append(((1.0 - w) * ps[k] + w * ps[k + 1])[None, :])
+    cands = np.concatenate(cands)
+    cands = cands[np.argsort(cands @ gains.g_d, kind="stable")]
+    # Unclamped log ratio, so a draw without positive secrecy still gets
+    # its least-bad allocation.
+    gd = a_src / (scenario.sigma2_dest + cands @ gains.g_d)
+    ge = (scenario.p_source * gains.h_e
+          / (cands @ gains.g_e.T + scenario.sigma2_eaves)).max(axis=1)
+    p_best = cands[int(np.argmax(np.log1p(gd) - np.log1p(ge)))]
     return (PowerAllocation(p_best),
             secrecy_rate(scenario, gains, p_best))
 

@@ -5,7 +5,10 @@ import pytest
 
 from coopjam import (ChannelGains, Scenario, check_positive_secrecy,
                      secrecy_rate)
-from coopjam.feasibility import build_feasibility_lp, default_strict_margin
+from coopjam.feasibility import (build_feasibility_lp, build_max_slack_lp,
+                                 default_strict_margin)
+from coopjam.numerics import lp_solve
+from tests.conftest import feasible_draws
 
 
 def scalar_scenario(p_max=2.0):
@@ -34,6 +37,22 @@ class TestVerdicts:
         # the margin is the unreachable gap of the worst row
         want = -max(4.0 * 0.1 - 1.0 * 0.1 for _ in range(2))
         assert v.margin == pytest.approx(want, rel=1e-6)
+
+    def test_margin_is_best_worst_slack(self, scenario3x2):
+        # seed 7's first feasible draw needs jamming; its minimum-power
+        # witness sits at the strict margin, the instance does not
+        s = scenario3x2
+        g = feasible_draws(s, seed=7, count=1)[0]
+        assert secrecy_rate(s, g, np.zeros(3)) == 0.0
+        v = check_positive_secrecy(s, g)
+        best = lp_solve(build_max_slack_lp(s, g))
+        assert best.status == "optimal"
+        assert v.margin == pytest.approx(best.x[-1], rel=1e-12)
+        assert v.margin > 1e6 * default_strict_margin(s, g)
+        rows = build_feasibility_lp(s, g, strict_margin=0.0).rows
+        witness_slack = min(a @ v.witness.p - b for a, _, b in rows)
+        assert witness_slack == pytest.approx(default_strict_margin(s, g),
+                                              rel=1e-6)
 
     def test_no_jamming_needed(self):
         s = scalar_scenario()
