@@ -1,21 +1,10 @@
 """Counter-based random streams and the Monte Carlo outage kernel.
 
-Two interchangeable backends evaluate the same stream:
-
-* a numba-compiled per-sample loop, and
-* a blocked, multi-core numpy kernel: each CPU the process may run on
-  counts one contiguous range of samples, a few thousand samples at a
-  time in buffers it reuses.  The count does not depend on the number
-  of workers or on the block size.
-
-Backend choice comes from the environment variable ``COOPJAM_BACKEND``
-(``numba``, ``numpy`` or ``auto``; default ``auto`` picks numba when it
-imports).  numba is an optional dependency: forcing ``numba`` without it,
-or naming an unknown backend, raises InvalidInputError.  Every draw is a
-pure function of ``(seed, counter)``, so both paths see identical uint64
-words and the resulting outage counts agree up to last-ulp differences
-in ``log1p`` and in the interference sum (``sig2d + sum p*g`` in the
-numba loop, ``g_d @ p + sig2d`` in numpy).
+The outage kernel is blocked and multi-core: each CPU the process may
+run on counts one contiguous range of samples, a few thousand samples
+at a time in buffers it reuses.  Every draw is a pure function of
+``(seed, counter)``, so the count does not depend on the number of
+workers or on the block size.
 
 Draw layout for fading sample ``i`` of a network with ``n`` jammers and
 ``m`` eavesdroppers (``d = 1 + m + n + m*n`` draws per sample, counters
@@ -36,8 +25,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
-
-from .errors import InvalidInputError
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -111,10 +98,10 @@ def draw_channel_arrays(seed: int, index: int, n: int, m: int):
 
 
 # ---------------------------------------------------------------------------
-# outage kernels
+# outage kernel
 # ---------------------------------------------------------------------------
 
-# Samples per block of the numpy kernel.  Each worker reuses its
+# Samples per block of the outage kernel.  Each worker reuses its
 # (block, d) buffers, under 1 MB each at d = 25, for every block, so the
 # working set stays in the core's cache.
 _BLOCK = 4096
@@ -210,112 +197,23 @@ def _mc_outage_range(ps, p, sig2d, sig2e, mu, nu, key, start, stop):
     return count
 
 
-def _mc_outage_numpy(ps, p, sig2d, sig2e, mu, nu, key, n_samples):
-    """Blocked count of secrecy outage events, one contiguous range of
-    samples per CPU.  Every draw is a pure function of (key, counter),
-    so the count does not depend on how the range is split."""
-    if _WORKERS < 2 or n_samples < _MIN_SPLIT:
-        return _mc_outage_range(ps, p, sig2d, sig2e, mu, nu, key,
-                                0, n_samples)
-    workers = min(_WORKERS, n_samples // _BLOCK)
-    bounds = [n_samples * w // workers for w in range(workers + 1)]
-    pool = _pool()
-    futures = [pool.submit(_mc_outage_range, ps, p, sig2d, sig2e, mu, nu,
-                           key, lo, hi)
-               for lo, hi in zip(bounds[:-1], bounds[1:])]
-    wait(futures)  # no range is still running if one of them raised
-    return sum(f.result() for f in futures)
-
-
-_HAVE_NUMBA = False
-_mc_outage_numba = None
-try:  # pragma: no cover - exercised indirectly through backend tests
-    import numba
-
-    @numba.njit(cache=True)
-    def _mc_outage_numba(ps, p, sig2d, sig2e, mu, nu, key, n_samples):
-        n = p.size
-        m = sig2e.size
-        d = np.uint64(1 + m + n + m * n)
-        golden = np.uint64(_GOLDEN)
-        mix_a = np.uint64(_MIX_A)
-        mix_b = np.uint64(_MIX_B)
-        key64 = np.uint64(key)
-        count = 0
-        for i in range(n_samples):
-            base = np.uint64(i) * d
-
-            def draw(off):
-                z = (base + np.uint64(off) + np.uint64(1)) * golden + key64
-                z ^= z >> np.uint64(30)
-                z *= mix_a
-                z ^= z >> np.uint64(27)
-                z *= mix_b
-                z ^= z >> np.uint64(31)
-                return -np.log1p(-((z >> np.uint64(11)) * _INV_2_53))
-
-            acc = sig2d
-            for kk in range(n):
-                acc += p[kk] * draw(1 + m + kk)
-            gamma_d = ps * draw(0) / acc
-            worst = -1.0
-            for j in range(m):
-                acc = sig2e[j]
-                for kk in range(n):
-                    acc += p[kk] * draw(1 + m + n + j * n + kk)
-                g = ps * draw(1 + j) / acc
-                if g > worst:
-                    worst = g
-            if worst >= gamma_d / mu + nu:
-                count += 1
-        return count
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    pass
-
-
-def _resolve_backend(name=None):
-    """Kernel name for ``name`` (or ``COOPJAM_BACKEND``, default ``auto``).
-
-    Raises InvalidInputError for an unknown name, and for ``numba`` when
-    numba does not import.
-    """
-    name = (name or os.environ.get("COOPJAM_BACKEND", "auto")).lower()
-    if name == "auto":
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if name == "numba":
-        if not _HAVE_NUMBA:
-            raise InvalidInputError(
-                "backend 'numba' requested but numba is not installed "
-                "(install the 'numba' extra)")
-        return "numba"
-    if name == "numpy":
-        return "numpy"
-    raise InvalidInputError(
-        f"unknown backend {name!r} (expected auto, numba or numpy)")
-
-
-def active_backend() -> str:
-    """Name of the kernel backend that will actually run."""
-    return _resolve_backend()
-
-
-def mc_outage_count(ps, p, sig2d, sig2e, mu, nu, seed, n_samples,
-                    backend=None) -> int:
+def mc_outage_count(ps, p, sig2d, sig2e, mu, nu, seed, n_samples) -> int:
     """Number of outage events among ``n_samples`` fading draws.
 
     ``mu = 2**rate`` and ``nu = 2**(-rate) - 1`` encode the target
     secrecy rate; an outage is ``max_j gamma_e_j >= gamma_d/mu + nu``.
-    ``backend`` is ``numba``, ``numpy``, ``auto`` or None (read
-    ``COOPJAM_BACKEND``); see _resolve_backend for the errors.
+    Runs long enough to split are shared out as one contiguous range of
+    samples per CPU.
     """
-    p = np.ascontiguousarray(p, dtype=float)
-    sig2e = np.ascontiguousarray(sig2e, dtype=float)
-    key = seed_key(seed)
-    if _resolve_backend(backend) == "numba":
-        return int(_mc_outage_numba(float(ps), p, float(sig2d), sig2e,
-                                    float(mu), float(nu), _U64(key),
-                                    n_samples))
-    return _mc_outage_numpy(float(ps), p, float(sig2d), sig2e,
-                            float(mu), float(nu), key, n_samples)
+    args = (float(ps), np.ascontiguousarray(p, dtype=float), float(sig2d),
+            np.ascontiguousarray(sig2e, dtype=float), float(mu), float(nu),
+            seed_key(seed))
+    if _WORKERS < 2 or n_samples < _MIN_SPLIT:
+        return _mc_outage_range(*args, 0, n_samples)
+    workers = min(_WORKERS, n_samples // _BLOCK)
+    bounds = [n_samples * w // workers for w in range(workers + 1)]
+    pool = _pool()
+    futures = [pool.submit(_mc_outage_range, *args, lo, hi)
+               for lo, hi in zip(bounds[:-1], bounds[1:])]
+    wait(futures)  # no range is still running if one of them raised
+    return sum(f.result() for f in futures)

@@ -23,7 +23,7 @@ from .model import (load_scenario, sample_channels, save_scenario,
 from .power_opt import algorithm_a, algorithm_b, best_jammer_selection
 from .sop_analytic import (SopScenario, perturb_distinct, sop_closed_form,
                            sop_closed_form_n2m1, sop_integral)
-from .sop_mc import backend_in_use, estimate_sop
+from .sop_mc import estimate_sop
 
 EXIT_INFEASIBLE = 2
 EXIT_FAILURE = 3
@@ -164,8 +164,7 @@ def sop(rate, scenario_path, method, samples, seed, perturb, as_json):
         doc["integral_err"] = res.error_estimate
     if method in ("mc", "all"):
         est = estimate_sop(sc, samples, seed)
-        doc.update(mc=est.p_out, mc_std_error=est.std_error,
-                   mc_backend=backend_in_use())
+        doc.update(mc=est.p_out, mc_std_error=est.std_error)
     _emit(doc, as_json)
 
 

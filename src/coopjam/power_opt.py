@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CoopJamError, InvalidInputError, NumericalError
+from .feasibility import check_positive_secrecy
 from .gp import (build_approx_program, condensed_ratios, default_power_floor,
                  gp_solve)
 from .model import (ChannelGains, PowerAllocation, Scenario, _check_dims,
@@ -31,6 +32,10 @@ from .model import (ChannelGains, PowerAllocation, Scenario, _check_dims,
 from .numerics import LinearProgram, bisect_max, lp_solve
 
 ZERO_SNAP_FACTOR = 10.0
+# Duality-gap tolerance of each SCA round's GP solve.
+GP_TOL = 1e-9
+# Grid points per jammer in best_jammer_selection's coarse scan.
+BEST_JAMMER_GRID_POINTS = 200
 
 
 class IterationPoint(NamedTuple):
@@ -60,8 +65,7 @@ def max_sinr_ratio(scenario: Scenario, gains: ChannelGains, p) -> float:
 
 
 def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
-                tol: float = 1e-6, max_iter: int = 100,
-                gp_tol: float = 1e-9):
+                tol: float = 1e-6, max_iter: int = 100):
     """Iterated condense-and-solve ascent of the secrecy rate.
 
     Returns (allocation, rate, trace).  The trace records the exact rate
@@ -72,9 +76,10 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
     The ascent is local, so the routine hedges against a bad basin: a
     custom ``p0`` is raced against the canonical half-power start, and
     if the winner still trails the cheap single-jammer optimum a final
-    restart from that baseline allocation is tried.  The best run is
-    returned, so the result never degrades with a poor ``p0`` and
-    always dominates the baseline.
+    restart from that baseline allocation is tried.  If every run so
+    far ends at rate 0, one more restarts from the feasibility LP's
+    witness when there is one.  The best run is returned, so the result
+    never degrades with a poor ``p0`` and always dominates the baseline.
     """
     _check_dims(scenario, gains)
     if tol <= 0 or max_iter < 1:
@@ -103,7 +108,7 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
             try:
                 problem, _ = build_approx_program(scenario, gains, pv,
                                                   p_floor=p_floor)
-                sol = gp_solve(problem, tol=gp_tol)
+                sol = gp_solve(problem, tol=GP_TOL)
             except CoopJamError as err:
                 err.trace = IterationTrace(tuple(points), False, "error")
                 raise
@@ -148,6 +153,12 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
     p_bj, r_bj = best_jammer_selection(scenario, gains)
     if r_bj > rate + 1e-9:
         challenge(np.asarray(p_bj.p))
+    if rate <= 0.0:
+        # Every start fell into a zero-rate basin; the witness has
+        # positive secrecy by construction when the instance does.
+        verdict = check_positive_secrecy(scenario, gains)
+        if verdict.feasible:
+            challenge(np.asarray(verdict.witness.p))
     return alloc, rate, trace
 
 
@@ -377,8 +388,7 @@ def algorithm_b(scenario: Scenario, gains: ChannelGains):
             secrecy_rate(scenario, gains, p_best))
 
 
-def best_jammer_selection(scenario: Scenario, gains: ChannelGains,
-                          grid_points: int = 200):
+def best_jammer_selection(scenario: Scenario, gains: ChannelGains):
     """Best allocation that uses a single jammer at a time.
 
     Coarse grid over each jammer's power range plus golden-section
@@ -390,8 +400,8 @@ def best_jammer_selection(scenario: Scenario, gains: ChannelGains,
     best_p = np.zeros(n)
     best_rate = secrecy_rate(scenario, gains, best_p)
     for j in range(n):
-        grid = np.linspace(0.0, scenario.p_max[j], grid_points)
-        pmat = np.zeros((grid_points, n))
+        grid = np.linspace(0.0, scenario.p_max[j], BEST_JAMMER_GRID_POINTS)
+        pmat = np.zeros((BEST_JAMMER_GRID_POINTS, n))
         pmat[:, j] = grid
         rates = secrecy_rate_batch(scenario, gains, pmat)
         k = int(np.argmax(rates))
@@ -402,7 +412,7 @@ def best_jammer_selection(scenario: Scenario, gains: ChannelGains,
             return secrecy_rate(scenario, gains, pv)
 
         lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, grid_points - 1)]
+        hi = grid[min(k + 1, BEST_JAMMER_GRID_POINTS - 1)]
         x, fx = bisect_max(rate_j, lo, hi,
                            eps=max(1e-12, 1e-9 * scenario.p_max[j]))
         if fx > best_rate:

@@ -106,7 +106,6 @@ class TestSop:
         assert doc["closed"] == pytest.approx(doc["integral"], abs=1e-8)
         assert doc["mc"] == pytest.approx(doc["integral"],
                                           abs=4 * doc["mc_std_error"] + 1e-6)
-        assert doc["mc_backend"] in ("numba", "numpy")
 
     def test_special_case_route(self, runner, distinct_file):
         res = runner.invoke(main, ["sop", "--rate", "0.4",
@@ -118,13 +117,6 @@ class TestSop:
     def test_bad_rate_is_failure(self, runner):
         res = runner.invoke(main, ["sop", "--rate", "-1"])
         assert res.exit_code == EXIT_FAILURE
-
-    def test_unknown_backend_is_failure(self, runner, monkeypatch):
-        monkeypatch.setenv("COOPJAM_BACKEND", "cuda")
-        res = runner.invoke(main, ["sop", "--rate", "1", "--method", "mc",
-                                   "--samples", "10000"])
-        assert res.exit_code == EXIT_FAILURE
-        assert "error: unknown backend" in res.output
 
 
 class TestExperiment:

@@ -1,12 +1,11 @@
-"""Counter-based RNG and the Monte Carlo outage kernels.
+"""Counter-based RNG and the Monte Carlo outage kernel.
 
 The contract under test: one (seed, counter) pair maps to one double in
-[0, 1), scalar and vectorised paths agree bit for bit, the numba and
-numpy outage kernels count the same outages for the same inputs, and the
-numpy count does not depend on how its sample range is split.
+[0, 1), scalar and vectorised paths agree bit for bit, the outage kernel
+counts what a per-sample evaluation of the secrecy rate counts, its
+counts stay pinned, and they do not depend on how the sample range is
+split.
 """
-
-import importlib.util
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopjam import _kernels
-from coopjam.errors import InvalidInputError
 
 
 def ctr(start, count):
@@ -66,16 +64,6 @@ class TestOutageKernels:
                          sig2e=np.array([0.1, 0.2]), mu=2.0, nu=-0.5,
                          seed=42)
 
-    def test_backends_agree_exactly(self):
-        pytest.importorskip("numba")
-        n = 200_000
-        counts = {}
-        for backend in ("numpy", "numba"):
-            counts[backend] = _kernels.mc_outage_count(
-                n_samples=n, backend=backend, **self.args)
-        assert counts["numpy"] == counts["numba"]
-        assert 0 < counts["numpy"] < n
-
     def test_deterministic(self):
         a = _kernels.mc_outage_count(n_samples=50_000, **self.args)
         b = _kernels.mc_outage_count(n_samples=50_000, **self.args)
@@ -102,25 +90,6 @@ class TestOutageKernels:
                 want += 1
         got = _kernels.mc_outage_count(n_samples=n_samples, **self.args)
         assert got == want
-
-    def test_resolve_backend(self, monkeypatch):
-        monkeypatch.setenv("COOPJAM_BACKEND", "numpy")
-        assert _kernels.active_backend() == "numpy"
-        monkeypatch.setenv("COOPJAM_BACKEND", "numba")
-        if importlib.util.find_spec("numba") is not None:
-            assert _kernels.active_backend() == "numba"
-        else:
-            with pytest.raises(InvalidInputError):
-                _kernels.active_backend()
-        monkeypatch.delenv("COOPJAM_BACKEND")
-        assert _kernels.active_backend() in ("numba", "numpy")
-        monkeypatch.setenv("COOPJAM_BACKEND", "cuda")
-        with pytest.raises(ValueError):
-            _kernels.active_backend()
-
-    def test_backend_argument_ignores_case(self):
-        assert _kernels._resolve_backend("NumPy") == "numpy"
-        assert _kernels._resolve_backend("NUMPY") == "numpy"
 
 
 def kernel_args(n, m, seed=2024, rate=0.5):
@@ -150,7 +119,7 @@ class TestPinnedCounts:
 
     @pytest.mark.parametrize("shape", sorted(PINNED))
     def test_counts_unchanged(self, shape):
-        got = tuple(_kernels.mc_outage_count(n_samples=count, backend="numpy",
+        got = tuple(_kernels.mc_outage_count(n_samples=count,
                                              **kernel_args(*shape))
                     for count in self.COUNTS)
         assert got == self.PINNED[shape]
@@ -172,8 +141,7 @@ class TestSplitInvariance:
     def test_split_points_do_not_change_count(self, shape, n_samples, cuts,
                                               seed):
         args = kernel_args(*shape, seed=seed)
-        whole = _kernels.mc_outage_count(n_samples=n_samples,
-                                         backend="numpy", **args)
+        whole = _kernels.mc_outage_count(n_samples=n_samples, **args)
         bounds = [0, *sorted(int(c * n_samples) for c in cuts), n_samples]
         parts = sum(range_count(args, lo, hi)
                     for lo, hi in zip(bounds[:-1], bounds[1:]))
@@ -181,21 +149,17 @@ class TestSplitInvariance:
 
     def test_one_worker_gives_the_same_count(self, monkeypatch):
         args = kernel_args(3, 2)
-        default = _kernels.mc_outage_count(n_samples=50_000,
-                                           backend="numpy", **args)
+        default = _kernels.mc_outage_count(n_samples=50_000, **args)
         monkeypatch.setattr(_kernels, "_WORKERS", 1)
-        assert _kernels.mc_outage_count(n_samples=50_000, backend="numpy",
-                                        **args) == default
+        assert _kernels.mc_outage_count(n_samples=50_000, **args) == default
 
     def test_pool_is_reused(self, monkeypatch):
         monkeypatch.setattr(_kernels, "_WORKERS", 2)
         args = kernel_args(2, 1)
-        first = _kernels.mc_outage_count(n_samples=50_000, backend="numpy",
-                                         **args)
+        first = _kernels.mc_outage_count(n_samples=50_000, **args)
         pool = _kernels._POOL
         assert pool is not None
-        second = _kernels.mc_outage_count(n_samples=50_000, backend="numpy",
-                                          **args)
+        second = _kernels.mc_outage_count(n_samples=50_000, **args)
         assert _kernels._POOL is pool
         assert first == second
 

@@ -328,9 +328,29 @@ class TestGlobalOptimality:
                      p_max=np.array(caps[:n]), sigma2_dest=0.1,
                      sigma2_eaves=np.full(m, 0.1))
         g = feasible_draws(s, seed=seed, count=1, start_index=index)[0]
+        # Skip draws within 1e-9 of the feasibility boundary, where the
+        # attainable rate is itself ~0
+        assume(check_positive_secrecy(s, g).margin
+               > default_strict_margin(s, g) + 1e-9)
         _, r_a, _ = algorithm_a(s, g)
         _, r_b = algorithm_b(s, g)
+        assert r_a > 0
         assert r_b >= r_a - 1e-9
+
+    def test_ascent_leaves_zero_rate_basin(self):
+        # Every start of the ascent, the best single jammer included,
+        # ends at rate 0 on this draw (feasibility margin 0.063); the
+        # restart from the feasibility witness reaches the optimum
+        s = Scenario(n_jammers=4, n_eavesdroppers=4,
+                     p_source=1.7017800178158802,
+                     p_max=np.array([3.303744831797692, 0.42273054693736056,
+                                     2.96017185194869, 3.0493587891771163]),
+                     sigma2_dest=0.1, sigma2_eaves=np.full(4, 0.1))
+        g = sample_channels(s, seed=2926247093, index=703)
+        _, r_a, _ = algorithm_a(s, g)
+        _, r_b = algorithm_b(s, g)
+        assert r_b > 0.4
+        assert r_a >= r_b - 1e-6
 
 
 class TestBestJammer:

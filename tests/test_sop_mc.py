@@ -5,7 +5,6 @@ import pytest
 
 from coopjam import (InvalidInputError, Scenario, SopScenario, estimate_sop,
                      sop_integral)
-from coopjam.sop_mc import backend_in_use
 from tests.conftest import conditioned_sop_scenario
 
 
@@ -67,14 +66,6 @@ class TestEstimator:
         assert est == estimate_sop(sc, 10_000, 1)
         assert type(est.n_samples) is int and type(est.seed) is int
         assert type(est.p_out) is float and type(est.std_error) is float
-
-    def test_backend_parameter(self):
-        pytest.importorskip("numba")
-        sc = make_sop([0.7, 1.9])
-        a = estimate_sop(sc, n_samples=30_000, seed=7, backend="numpy")
-        b = estimate_sop(sc, n_samples=30_000, seed=7, backend="numba")
-        assert a.p_out == b.p_out
-        assert backend_in_use() in ("numba", "numpy")
 
     def test_error_shrinks_with_samples(self):
         sc = make_sop([0.7, 1.9])
