@@ -246,10 +246,10 @@ class CondensedRatio:
 def _condensed_arrays(scenario: Scenario, gains: ChannelGains, p: np.ndarray):
     """Every eavesdropper's ratio condensed at the positive point ``p``.
 
-    Returns (num, log_num, log_hat, e_hat, ratios): the numerator
-    coefficients and their logs (-inf where zero), the condensed
-    denominators' log coefficients and exponents, and the
-    ``CondensedRatio`` views.
+    Returns (num, den, log_num, log_hat, e_hat, alpha): the numerator
+    and denominator coefficients, the numerator's logs (-inf where
+    zero), the condensed denominators' log coefficients and exponents,
+    and the condensation weights.
     """
     e, _ = _product_layout(scenario.n_jammers)
     num, den = _ratio_coefficients(scenario, gains)
@@ -258,20 +258,21 @@ def _condensed_arrays(scenario: Scenario, gains: ChannelGains, p: np.ndarray):
         log_den = np.log(den)
     log_hat, e_hat, alpha = _condense_rows(log_den, e, np.log(p),
                                            DEFAULT_WEIGHT_CLAMP)
-    ratios = [CondensedRatio(
-        numerator=_posynomial_view(num[m], e),
-        denominator_hat=Monomial(coeff=math.exp(log_hat[m]),
-                                 exponents=e_hat[m]),
-        weights=CondensationWeights(alpha=alpha[m][den[m] != 0.0]))
-        for m in range(scenario.n_eavesdroppers)]
-    return num, log_num, log_hat, e_hat, ratios
+    return num, den, log_num, log_hat, e_hat, alpha
 
 
 def condensed_ratios(scenario: Scenario, gains: ChannelGains, p_tilde):
     """Condense every eavesdropper's ratio denominator at ``p_tilde``."""
     _check_dims(scenario, gains)
     p = _positive_point(p_tilde, scenario.n_jammers)
-    return _condensed_arrays(scenario, gains, p)[-1]
+    num, den, _, log_hat, e_hat, alpha = _condensed_arrays(scenario, gains, p)
+    e, _ = _product_layout(scenario.n_jammers)
+    return [CondensedRatio(
+        numerator=_posynomial_view(num[m], e),
+        denominator_hat=Monomial(coeff=math.exp(log_hat[m]),
+                                 exponents=e_hat[m]),
+        weights=CondensationWeights(alpha=alpha[m][den[m] != 0.0]))
+        for m in range(scenario.n_eavesdroppers)]
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +354,8 @@ def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde,
     Constraints: one per eavesdropper (its numerator's nonzero terms
     over its condensed denominator and t), then p_i <= p_max[i] and
     p_floor <= p_i for each jammer.
-    Returns (problem, ratios); the ratios expose the condensation used.
+    ``condensed_ratios`` at the same interior point gives the
+    condensation used as views.
     """
     _check_dims(scenario, gains)
     n = scenario.n_jammers
@@ -368,7 +370,7 @@ def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde,
     p_int = np.clip(p_tilde, p_floor * (1 + 1e-6),
                     scenario.p_max * (1 - 1e-9))
 
-    num, log_num, log_hat, e_hat, ratios = _condensed_arrays(
+    num, _, log_num, log_hat, e_hat, _ = _condensed_arrays(
         scenario, gains, p_int)
     e, _ = _product_layout(n)
     m, k = num.shape
@@ -391,12 +393,11 @@ def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde,
     t_col = np.zeros(n + 1)
     t_col[n] = 1.0
     keep = num != 0.0  # zero-gain terms are left out
-    problem = GpProblem.from_arrays(
+    return GpProblem.from_arrays(
         Monomial(coeff=1.0, exponents=t_col),
         np.concatenate([b_ratio[keep], b_box]),
         np.vstack([a_ratio[keep], a_box]),
         np.concatenate([keep.sum(axis=1), np.ones(2 * n, dtype=int)]), warm)
-    return problem, ratios
 
 
 @dataclass(frozen=True)

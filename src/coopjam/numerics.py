@@ -1,5 +1,5 @@
 """Shared numerical kernels: exponential integral, semi-infinite
-quadrature, a small LP front end and derivative-free 1-d maximisation.
+quadrature and a small LP front end.
 
 The exponential integral is implemented here rather than imported so its
 accuracy on the product arguments the outage formulas generate is under
@@ -231,52 +231,3 @@ def lp_solve(lp: LinearProgram, presolve: bool = True) -> LpResult:
     if res.status == 3:
         return LpResult(status="unbounded", x=None, value=None)
     raise NumericalError(f"LP solver failed: {res.message}")
-
-
-# ---------------------------------------------------------------------------
-# 1-d maximisation
-# ---------------------------------------------------------------------------
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def bisect_max(f, lo: float, hi: float, eps: float):
-    """Maximise a quasiconcave ``f`` on [lo, hi] by interval shrinking.
-
-    Golden-ratio interior probes; ties shrink toward the left so plateau
-    maxima resolve to their smallest argument.  Returns (x, f(x)) for the
-    best point actually evaluated once the interval is below ``eps``.
-    """
-    if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
-        raise InvalidInputError(f"bad interval [{lo}, {hi}]")
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
-
-    best_x, best_f = lo, -np.inf
-
-    def probe(x):
-        nonlocal best_x, best_f
-        v = f(x)
-        if not np.isfinite(v):
-            raise NumericalError(f"objective returned {v} at x={x}")
-        if v > best_f or (v == best_f and x < best_x):
-            best_x, best_f = x, v
-        return v
-
-    probe(lo)
-    if hi > lo:
-        probe(hi)
-    width = hi - lo
-    x1 = hi - _INV_PHI * width
-    x2 = lo + _INV_PHI * width
-    f1, f2 = probe(x1), probe(x2)
-    while hi - lo > eps:
-        if f1 >= f2:  # ties keep the left interval
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = probe(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = probe(x2)
-    return best_x, best_f

@@ -29,13 +29,9 @@ from .gp import (build_approx_program, condensed_ratios, default_power_floor,
 from .model import (ChannelGains, PowerAllocation, Scenario, _check_dims,
                     _p_vec, secrecy_rate, secrecy_rate_batch,
                     sinr_destination, sinr_eavesdropper)
-from .numerics import LinearProgram, bisect_max, lp_solve
+from .numerics import LinearProgram, lp_solve
 
 ZERO_SNAP_FACTOR = 10.0
-# Duality-gap tolerance of each SCA round's GP solve.
-GP_TOL = 1e-9
-# Grid points per jammer in best_jammer_selection's coarse scan.
-BEST_JAMMER_GRID_POINTS = 200
 
 
 class IterationPoint(NamedTuple):
@@ -106,9 +102,9 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
         stop_reason = "max_iter"
         for _ in range(max_iter):
             try:
-                problem, _ = build_approx_program(scenario, gains, pv,
-                                                  p_floor=p_floor)
-                sol = gp_solve(problem, tol=GP_TOL)
+                problem = build_approx_program(scenario, gains, pv,
+                                               p_floor=p_floor)
+                sol = gp_solve(problem)
             except CoopJamError as err:
                 err.trace = IterationTrace(tuple(points), False, "error")
                 raise
@@ -389,37 +385,56 @@ def algorithm_b(scenario: Scenario, gains: ChannelGains):
 
 
 def best_jammer_selection(scenario: Scenario, gains: ChannelGains):
-    """Best allocation that uses a single jammer at a time.
+    """Best allocation that uses a single jammer at a time, exactly.
 
-    Coarse grid over each jammer's power range plus golden-section
-    refinement around the best grid cell.  Serves as the baseline the
-    joint allocation must dominate.
+    With only jammer j on at power p, each eavesdropper's 1/SINR is the
+    line u_m(p) = (sigma2_e[m] + g_e[m, j]*p) / (p_source*h_e[m]), so the
+    slice value u(p) = min_m u_m(p) is concave and piecewise linear with
+    its breakpoints among the lines' pairwise crossings.  With
+    t = g_d[j]*p the rate is log2 of (1 + A/(sigma2_d + t))*u/(1 + u),
+    A = p_source*h_d, so on each piece its maximum is at an end or at a
+    stationary point (``_piece_stationary_points``, in p with A and
+    sigma2_d scaled by 1/g_d[j]).  Where g_d[j] = 0 the rate does not
+    decrease in p, so p_max[j] is the only candidate; eavesdroppers with
+    h_e = 0 never bind and are left out, and without any eavesdropper
+    that hears the source p = 0 is optimal.
+
+    All candidates of all jammers are scored in one batch; ties go to
+    p = 0, then to the lowest jammer index and power.  Returns
+    (allocation, rate): the baseline the joint allocation must dominate.
     """
     _check_dims(scenario, gains)
     n = scenario.n_jammers
-    best_p = np.zeros(n)
-    best_rate = secrecy_rate(scenario, gains, best_p)
-    for j in range(n):
-        grid = np.linspace(0.0, scenario.p_max[j], BEST_JAMMER_GRID_POINTS)
-        pmat = np.zeros((BEST_JAMMER_GRID_POINTS, n))
-        pmat[:, j] = grid
-        rates = secrecy_rate_batch(scenario, gains, pmat)
-        k = int(np.argmax(rates))
-
-        def rate_j(x):
-            pv = np.zeros(n)
-            pv[j] = x
-            return secrecy_rate(scenario, gains, pv)
-
-        lo = grid[max(k - 1, 0)]
-        hi = grid[min(k + 1, BEST_JAMMER_GRID_POINTS - 1)]
-        x, fx = bisect_max(rate_j, lo, hi,
-                           eps=max(1e-12, 1e-9 * scenario.p_max[j]))
-        if fx > best_rate:
-            best_rate = fx
-            best_p = np.zeros(n)
-            best_p[j] = x
-    return PowerAllocation(best_p), best_rate
+    active = np.flatnonzero(gains.h_e > 0)
+    cands = [np.zeros((1, n))]
+    if active.size:
+        scale = scenario.p_source * gains.h_e[active]
+        u0 = scenario.sigma2_eaves[active] / scale
+        slope = gains.g_e[active] / scale[:, None]
+        a, b = np.triu_indices(active.size, 1)
+        a_src = scenario.p_source * gains.h_d
+        for j in range(n):
+            p_max = scenario.p_max[j]
+            if gains.g_d[j] == 0.0:
+                powers = [p_max]
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    cross = (u0[a] - u0[b]) / (slope[b, j] - slope[a, j])
+                knots = np.unique(np.concatenate(
+                    ([0.0, p_max], cross[(cross > 0.0) & (cross < p_max)])))
+                u = (u0[:, None] + slope[:, j, None] * knots).min(axis=0)
+                powers = list(knots[1:])
+                for k in range(knots.size - 1):
+                    powers += _piece_stationary_points(
+                        knots[k], u[k], knots[k + 1], u[k + 1],
+                        a_src / gains.g_d[j],
+                        scenario.sigma2_dest / gains.g_d[j])
+            rows = np.zeros((len(powers), n))
+            rows[:, j] = np.sort(powers)
+            cands.append(rows)
+    cands = np.concatenate(cands)
+    p_best = cands[int(np.argmax(secrecy_rate_batch(scenario, gains, cands)))]
+    return PowerAllocation(p_best), secrecy_rate(scenario, gains, p_best)
 
 
 # ---------------------------------------------------------------------------

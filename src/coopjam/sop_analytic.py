@@ -163,15 +163,13 @@ def cdf_gamma_d(x, scenario: Scenario):
                          np.array([scenario.sigma2_dest]), coeff_a(p) * p)
 
 
-def pdf_gamma_d(x, scenario: Scenario):
-    a = coeff_a(scenario.p_max)
-    p = scenario.p_max
-    ps = scenario.p_source
-    x = np.asarray(x, dtype=float)
-    denom = p * x[..., None] + ps
-    inner = (a * p * (scenario.sigma2_dest / denom + ps * p / denom ** 2)).sum(-1)
-    val = np.exp(-scenario.sigma2_dest * x / ps) * inner
-    return np.where(x < 0, 0.0, val)
+def _pdf_dest(u: float, p, ps: float, sig_d: float, ap, psp) -> float:
+    """Destination SINR density at u >= 0 for jammer powers ``p``,
+    source power ``ps`` and noise ``sig_d``; ``ap`` is coeff_a(p) * p
+    and ``psp`` is ps * p, passed in so callers form them once."""
+    denom = p * u + ps
+    inner = np.add.reduce(ap * (sig_d / denom + psp / denom ** 2))
+    return math.exp(-sig_d * u / ps) * inner
 
 
 def cdf_gamma_emax(x, scenario: Scenario):
@@ -209,14 +207,9 @@ def sop_integral(sc: SopScenario, rel_tol: float = 1e-10) -> SopResult:
     ap = k.a_coeff * p
     psp = ps * p
 
-    def pdf_dest(u):
-        denom = p * u + ps
-        inner = np.add.reduce(ap * (sig_d / denom + psp / denom ** 2))
-        return math.exp(-sig_d * u / ps) * inner
-
     def integrand(x):
         return float(_cdf_sinr_max(x, p, ps, sig_e, ap)
-                     * pdf_dest(k.mu * (x - k.nu)))
+                     * _pdf_dest(k.mu * (x - k.nu), p, ps, sig_d, ap, psp))
 
     noise = 1e-15 * float(np.abs(ap).sum())
     quad = integrate_semi_infinite(integrand, 0.0,

@@ -200,11 +200,10 @@ class TestApproxProgram:
     def test_shapes_and_warm_start(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=5)
         p_hat = scenario3x2.p_max / 2
-        prob, ratios = build_approx_program(scenario3x2, g, p_hat)
+        prob = build_approx_program(scenario3x2, g, p_hat)
         n, m = 3, 2
         assert prob.n_vars == n + 1
         assert len(prob.constraints) == m + 2 * n
-        assert len(ratios) == m
         # warm start feasible by construction
         for c in prob.constraints:
             assert c.evaluate(prob.warm_start) < 1.0
@@ -212,7 +211,8 @@ class TestApproxProgram:
     def test_solution_improves_on_expansion_point(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=5)
         p_hat = scenario3x2.p_max / 2
-        prob, ratios = build_approx_program(scenario3x2, g, p_hat)
+        prob = build_approx_program(scenario3x2, g, p_hat)
+        ratios = condensed_ratios(scenario3x2, g, p_hat)
         sol = gp_solve(prob)
         worst_at_hat = max(r.evaluate(p_hat) for r in ratios)
         assert sol.value <= worst_at_hat * (1 + 1e-9)
@@ -223,7 +223,7 @@ class TestApproxProgram:
 
     def test_solution_respects_box(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=6)
-        prob, _ = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
+        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
         sol = gp_solve(prob)
         assert (sol.x[:3] <= scenario3x2.p_max * (1 + 1e-7)).all()
         assert (sol.x[:3] > 0).all()
@@ -244,21 +244,21 @@ SEED5_HALF_POWER_ITERATIONS = 18
 class TestPrimalDual:
     def test_matches_barrier_value(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=5)
-        prob, _ = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
+        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
         sol = gp_solve(prob)
         assert sol.value == pytest.approx(SEED5_HALF_POWER_VALUE, rel=1e-9)
         assert sol.duality_gap <= 1e-9
 
     def test_pinned_iteration_count(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=5)
-        prob, _ = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
+        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
         assert gp_solve(prob).newton_iterations == SEED5_HALF_POWER_ITERATIONS
 
     def test_warm_start_on_the_box_edge(self, scenario3x2):
         # expanding at p_max clips the warm start to p_max*(1 - 1e-9), so
         # each upper-box constraint starts 1e-9 from active
         g = sample_channels(scenario3x2, seed=5)
-        prob, _ = build_approx_program(scenario3x2, g, scenario3x2.p_max)
+        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max)
         n = scenario3x2.n_jammers
         upper = prob.constraints[scenario3x2.n_eavesdroppers::2][:n]
         for c in upper:
@@ -269,7 +269,7 @@ class TestPrimalDual:
 
     def test_arrays_match_constraint_views(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=8)
-        prob, _ = build_approx_program(scenario3x2, g, scenario3x2.p_max / 3)
+        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 3)
         rebuilt = GpProblem(prob.objective, prob.constraints, prob.warm_start)
         np.testing.assert_allclose(rebuilt.log_coeffs, prob.log_coeffs,
                                    rtol=0, atol=1e-14)
@@ -282,8 +282,8 @@ class TestPrimalDual:
         from coopjam import ChannelGains
         g = ChannelGains(h_d=1.0, h_e=[1.0, 1.0], g_d=[0.5, 0.0, 0.5],
                          g_e=[[0.4, 0.4, 0.0], [0.4, 0.4, 0.4]])
-        prob, ratios = build_approx_program(scenario3x2, g,
-                                            scenario3x2.p_max / 2)
+        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
+        ratios = condensed_ratios(scenario3x2, g, scenario3x2.p_max / 2)
         assert np.isfinite(prob.log_coeffs).all()
         for m, r in enumerate(ratios):
             num, _ = sinr_ratio_parts(scenario3x2, g, m)

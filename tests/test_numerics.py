@@ -1,4 +1,4 @@
-"""Exponential integral, quadrature wrapper, LP wrapper, 1-d maximiser."""
+"""Exponential integral, quadrature wrapper, LP wrapper."""
 
 import itertools
 
@@ -7,7 +7,7 @@ import pytest
 
 from coopjam.errors import (AccuracyError, DomainError, InvalidInputError,
                             NumericalError)
-from coopjam.numerics import (LinearProgram, bisect_max, exp_integral_ei,
+from coopjam.numerics import (LinearProgram, exp_integral_ei,
                               integrate_semi_infinite, lp_solve,
                               scaled_exp_integral_ei)
 
@@ -220,40 +220,3 @@ class TestLinearProgram:
             LinearProgram(c=np.ones(2), rows=((np.ones(2), "<>", 1.0),))
         with pytest.raises(InvalidInputError):
             LinearProgram(c=np.ones(2), lower=np.zeros(3))
-
-
-class TestBisectMax:
-    def test_quadratic(self):
-        x, fx = bisect_max(lambda x: -(x - 1.7) ** 2, 0.0, 5.0, 1e-10)
-        assert x == pytest.approx(1.7, abs=1e-7)
-        assert fx == pytest.approx(0.0, abs=1e-12)
-
-    def test_plateau_prefers_left_edge(self):
-        f = lambda x: min(x, 2.0) - max(x - 3.0, 0.0)  # flat top on [2, 3]
-        x, fx = bisect_max(f, 0.0, 6.0, 1e-9)
-        assert fx == pytest.approx(2.0, abs=1e-9)
-        assert x <= 2.0 + 1e-6
-
-    def test_monotone_ends(self):
-        x, _ = bisect_max(lambda x: x, 0.0, 4.0, 1e-9)
-        assert x == pytest.approx(4.0, abs=1e-6)
-        x, _ = bisect_max(lambda x: -x, 0.0, 4.0, 1e-9)
-        assert x == pytest.approx(0.0, abs=1e-6)
-
-    def test_best_evaluated_point_wins(self):
-        seen = []
-
-        def f(x):
-            seen.append(x)
-            return -(x - 2.0) ** 2
-
-        x, fx = bisect_max(f, 0.0, 10.0, 1e-8)
-        assert fx == max(-(np.array(seen) - 2.0) ** 2)
-
-    def test_interval_validation(self):
-        with pytest.raises(InvalidInputError):
-            bisect_max(lambda x: x, 3.0, 1.0, 1e-6)
-        with pytest.raises(InvalidInputError):
-            bisect_max(lambda x: x, 0.0, 1.0, -1e-6)
-        with pytest.raises(NumericalError):
-            bisect_max(lambda x: np.nan, 0.0, 1.0, 1e-6)

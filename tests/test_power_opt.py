@@ -375,6 +375,46 @@ class TestBestJammer:
         assert rate == pytest.approx(
             secrecy_rate_batch(s, g, grid).max(), abs=1e-6)
 
+    def test_optimum_at_eavesdropper_crossing(self):
+        # The optimum sits where the binding eavesdropper changes, a kink
+        # of the rate; a grid refined by golden-section search stalled
+        # there at 0.96627646078.  A fine grid reaches 0.96627646290598.
+        s = Scenario(n_jammers=1, n_eavesdroppers=3,
+                     p_source=0.6137226121368629,
+                     p_max=[2.7488334881477856], sigma2_dest=0.1,
+                     sigma2_eaves=[0.151159030121587, 0.07317171986646089,
+                                   0.18070162366158304])
+        g = sample_channels(s, seed=921209089, index=590)
+        _, rate = best_jammer_selection(s, g)
+        assert rate >= 0.9662764629
+
+    @given(n=st.integers(1, 5), m=st.integers(1, 4),
+           p_source=st.floats(0.3, 5.0),
+           caps=st.lists(st.floats(0.1, 4.0), min_size=5, max_size=5),
+           noise=st.lists(st.floats(0.05, 0.3), min_size=4, max_size=4),
+           deaf=st.lists(st.booleans(), min_size=4, max_size=4),
+           blind=st.lists(st.booleans(), min_size=5, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1), index=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_no_worse_than_fine_grid(self, n, m, p_source, caps, noise,
+                                     deaf, blind, seed, index):
+        # deaf eavesdroppers (h_e = 0) never bind; jammers the
+        # destination cannot hear (g_d = 0) are best at full power
+        s = Scenario(n_jammers=n, n_eavesdroppers=m, p_source=p_source,
+                     p_max=caps[:n], sigma2_dest=0.1,
+                     sigma2_eaves=noise[:m])
+        g = sample_channels(s, seed=seed, index=index)
+        g = ChannelGains(h_d=g.h_d, h_e=np.where(deaf[:m], 0.0, g.h_e),
+                         g_d=np.where(blind[:n], 0.0, g.g_d), g_e=g.g_e)
+        alloc, rate = best_jammer_selection(s, g)
+        assert np.count_nonzero(alloc.p) <= 1
+        assert (alloc.p <= s.p_max).all()
+        assert rate == secrecy_rate(s, g, alloc)
+        for j in range(n):
+            pmat = np.zeros((20001, n))
+            pmat[:, j] = np.linspace(0.0, s.p_max[j], 20001)
+            assert rate >= secrecy_rate_batch(s, g, pmat).max() - 1e-12
+
 
 class TestPowerBox:
     @given(shape=st.sampled_from([(2, 1), (3, 2)]),

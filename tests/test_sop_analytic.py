@@ -13,11 +13,10 @@ from coopjam import (DegeneratePowersError, InvalidInputError, Scenario,
                      SopScenario, perturb_distinct, sop_closed_form,
                      sop_closed_form_n2m1, sop_integral)
 from coopjam.numerics import integrate_semi_infinite
-from coopjam.sop_analytic import (_compositions, basic_integral, cdf_gamma_d,
-                                  cdf_gamma_emax, coeff_a,
+from coopjam.sop_analytic import (_compositions, _pdf_dest, basic_integral,
+                                  cdf_gamma_d, cdf_gamma_emax, coeff_a,
                                   elementary_integral, expansion_term_count,
-                                  min_relative_gap, pdf_gamma_d,
-                                  sop_constants)
+                                  min_relative_gap, sop_constants)
 from tests.conftest import conditioned_sop_scenario
 
 
@@ -127,17 +126,23 @@ class TestSinrLaws:
         assert (np.diff(cdf_gamma_d(xs, s)) >= -1e-12).all()
         assert (np.diff(cdf_gamma_emax(xs, s)) >= -1e-12).all()
 
+    @staticmethod
+    def pdf_dest(x, s):
+        # the density sop_integral integrates, at the scenario's powers
+        p, ps = s.p_max, s.p_source
+        return _pdf_dest(x, p, ps, s.sigma2_dest, coeff_a(p) * p, ps * p)
+
     def test_pdf_is_cdf_derivative(self):
         s = sop(n=2, m=1, p=(0.8, 2.2)).scenario
         h = 1e-6
         for x in (0.1, 0.9, 3.0, 8.0):
             num = (cdf_gamma_d(x + h, s) - cdf_gamma_d(x - h, s)) / (2 * h)
-            assert pdf_gamma_d(x, s) == pytest.approx(num, rel=1e-6)
+            assert self.pdf_dest(x, s) == pytest.approx(num, rel=1e-6)
 
     def test_pdf_normalised(self):
         s = sop(n=3, m=1, p=(0.5, 1.3, 3.1)).scenario
-        quad = integrate_semi_infinite(lambda x: float(pdf_gamma_d(x, s)),
-                                       0.0, rel_tol=1e-11)
+        quad = integrate_semi_infinite(lambda x: self.pdf_dest(x, s), 0.0,
+                                       rel_tol=1e-11)
         assert quad.value == pytest.approx(1.0, abs=1e-9)
 
 
