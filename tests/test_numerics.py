@@ -1,10 +1,15 @@
-"""Exponential integral, quadrature wrapper, LP wrapper."""
+"""Exponential integral, semi-infinite quadrature, LP wrapper."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coopjam
 from coopjam.errors import (AccuracyError, DomainError, InvalidInputError,
                             NumericalError)
 from coopjam.numerics import (LinearProgram, exp_integral_ei,
@@ -106,20 +111,61 @@ class TestQuadrature:
 
     def test_accuracy_error_carries_estimate(self):
         # force subdivision starvation on an oscillatory integrand
+        calls = []
+
+        def f(x):
+            calls.append(x.shape[0])
+            return np.sin(50 * x) * np.exp(-0.01 * x)
+
         with pytest.raises(AccuracyError) as err:
-            integrate_semi_infinite(lambda x: np.sin(50 * x) * np.exp(-0.01 * x),
-                                    0.0, rel_tol=1e-13, max_subdivisions=3)
+            integrate_semi_infinite(f, 0.0, rel_tol=1e-13, max_subdivisions=3)
         assert err.value.best_estimate is not None
+        # each bisection hands two new intervals to the integrand and
+        # grows the partition, which the cap bounds, by one
+        assert 1 + sum(calls[1:]) // 2 == 3
 
     def test_nonfinite_integrand_raises(self):
         with pytest.raises(NumericalError):
-            integrate_semi_infinite(lambda x: np.inf if x > 1 else 1.0, 0.0)
+            integrate_semi_infinite(lambda x: np.where(x > 1, np.inf, 1.0), 0.0)
+
+    def test_one_integrand_call_per_round(self):
+        # every call gets a (k, 15) block of nodes, and the evaluations
+        # reported are exactly the nodes passed in
+        shapes = []
+
+        def f(x):
+            shapes.append(x.shape)
+            return np.exp(-x) / (x + 0.5)
+
+        res = integrate_semi_infinite(f, 0.0, rel_tol=1e-12)
+        assert len(shapes) > 1
+        assert all(len(s) == 2 and s[1] == 15 for s in shapes)
+        assert shapes[0] == (1, 15)
+        assert res.evaluations == sum(s[0] * s[1] for s in shapes)
+
+    def test_scalar_integrand_rejected(self):
+        with pytest.raises(InvalidInputError):
+            integrate_semi_infinite(lambda x: 1.0, 0.0)
 
     def test_bad_args(self):
         with pytest.raises(InvalidInputError):
             integrate_semi_infinite(lambda x: 0.0, np.inf)
         with pytest.raises(InvalidInputError):
             integrate_semi_infinite(lambda x: 0.0, 0.0, rel_tol=-1.0)
+        with pytest.raises(InvalidInputError):
+            integrate_semi_infinite(lambda x: 0.0, 0.0, max_subdivisions=0)
+
+
+def test_import_does_not_load_scipy_integrate():
+    # the quadrature is the library's own; importing scipy.integrate
+    # would add its load time to every process that imports coopjam
+    src = str(Path(coopjam.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, coopjam; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def _vertex_optimum(lp: LinearProgram):
