@@ -9,6 +9,7 @@ All quantities are linear (watts); dB conversion lives in the CLI only.
 """
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,18 @@ class PowerAllocation(_ArrayEq):
             raise InvalidInputError("allocation exceeds per-jammer power caps")
 
 
+def _integer(name, value) -> int:
+    """``value`` as a plain int; InvalidInputError for a bool or a
+    non-integer (a float seed would silently reuse another stream)."""
+    if isinstance(value, bool):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(
+            f"{name} must be an integer, got {value!r}") from None
+
+
 def _p_vec(p):
     return np.asarray(p.p if isinstance(p, PowerAllocation) else p, dtype=float)
 
@@ -172,7 +185,12 @@ def sample_channels(scenario: Scenario, seed: int, index: int = 0) -> ChannelGai
 
     ``index`` selects independent realisations under one seed; drawing
     index ``i`` here reproduces sample ``i`` of the streaming estimator.
+    Raises InvalidInputError unless both are integers and index >= 0.
     """
+    seed = _integer("seed", seed)
+    index = _integer("index", index)
+    if index < 0:
+        raise InvalidInputError(f"index must be >= 0, got {index}")
     h_d, h_e, g_d, g_e = _kernels.draw_channel_arrays(
         seed, index, scenario.n_jammers, scenario.n_eavesdroppers)
     return ChannelGains(h_d=float(h_d), h_e=h_e, g_d=g_d, g_e=g_e)

@@ -246,38 +246,39 @@ def integrate_semi_infinite(f, a: float, rel_tol: float = 1e-10,
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min c @ x subject to rows (a, relation, b) and bounds on x.
+    """min c @ x subject to row_lower <= a @ x <= row_upper and
+    lower <= x <= upper.
 
-    relation is one of "<=", ">=", "="; bounds entries may be +/-inf.
+    ``a`` is a dense (k, n) matrix, one row per constraint; a row whose
+    two bounds are equal is an equality.  Any bound may be +/-inf, and
+    omitted bounds are unbounded.  Without ``a`` there are no rows.
     """
 
     c: np.ndarray
-    rows: tuple = ()
+    a: np.ndarray | None = None
+    row_lower: np.ndarray | None = None
+    row_upper: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        object.__setattr__(self, "c", c)
-        n = c.size
-        lower = (np.full(n, -np.inf) if self.lower is None
-                 else np.asarray(self.lower, dtype=float))
-        upper = (np.full(n, np.inf) if self.upper is None
-                 else np.asarray(self.upper, dtype=float))
-        if lower.shape != (n,) or upper.shape != (n,):
-            raise InvalidInputError("bound shapes do not match objective")
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        rows = []
-        for a, rel, b in self.rows:
-            a = np.asarray(a, dtype=float)
-            if a.shape != (n,):
+        def array(name, shape, fill):
+            value = getattr(self, name)
+            value = (np.full(shape, fill) if value is None
+                     else np.asarray(value, dtype=float))
+            if value.shape != shape:
                 raise InvalidInputError(
-                    f"constraint row shape {a.shape} != ({n},)")
-            if rel not in ("<=", ">=", "="):
-                raise InvalidInputError(f"unknown relation {rel!r}")
-            rows.append((a, rel, float(b)))
-        object.__setattr__(self, "rows", tuple(rows))
+                    f"{name} has shape {value.shape}, expected {shape}")
+            object.__setattr__(self, name, value)
+
+        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
+        n = self.c.size
+        k = np.shape(self.a)[0] if np.ndim(self.a) else 0
+        array("a", (k, n), 0.0)
+        array("row_lower", (k,), -np.inf)
+        array("row_upper", (k,), np.inf)
+        array("lower", (n,), -np.inf)
+        array("upper", (n,), np.inf)
 
 
 @dataclass(frozen=True)
@@ -292,17 +293,14 @@ def lp_solve(lp: LinearProgram, presolve: bool = True) -> LpResult:
 
     Goes through scipy's ``milp`` front end with no integer variables:
     the same HiGHS LP solve as ``linprog(method="highs")`` at about half
-    the per-call cost.  ``presolve=False`` skips HiGHS's presolve, whose
-    reductions can call a feasible LP infeasible (see _slice_optimum).
+    the per-call cost; the dense rows pass to it unchanged.
+    ``presolve=False`` skips HiGHS's presolve, whose reductions can call
+    a feasible LP infeasible (see _slice_optimum).
     """
     constraints = None
-    if lp.rows:
-        a = np.array([row[0] for row in lp.rows])
-        b = np.array([row[2] for row in lp.rows])
-        rel = np.array([row[1] for row in lp.rows])
-        constraints = scipy.optimize.LinearConstraint(
-            a, np.where(rel == "<=", -np.inf, b),
-            np.where(rel == ">=", np.inf, b))
+    if lp.a.size:
+        constraints = scipy.optimize.LinearConstraint(lp.a, lp.row_lower,
+                                                      lp.row_upper)
     res = scipy.optimize.milp(
         lp.c, constraints=constraints,
         bounds=scipy.optimize.Bounds(lp.lower, lp.upper),

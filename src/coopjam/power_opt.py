@@ -27,7 +27,7 @@ from .feasibility import check_positive_secrecy
 from .gp import (build_approx_program, condensed_ratios, default_power_floor,
                  gp_solve)
 from .model import (ChannelGains, PowerAllocation, Scenario, _check_dims,
-                    _p_vec, secrecy_rate, secrecy_rate_batch,
+                    _integer, _p_vec, secrecy_rate, secrecy_rate_batch,
                     sinr_destination, sinr_eavesdropper)
 from .numerics import LinearProgram, lp_solve
 
@@ -73,12 +73,14 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
     custom ``p0`` is raced against the canonical half-power start, and
     if the winner still trails the cheap single-jammer optimum a final
     restart from that baseline allocation is tried.  If every run so
-    far ends at rate 0, one more restarts from the feasibility LP's
-    witness when there is one.  The best run is returned, so the result
-    never degrades with a poor ``p0`` and always dominates the baseline.
+    far ends at rate 0, one more restarts from the feasibility witness
+    (the allocation with the largest worst slack) when there is one.
+    The best run is returned, so the result never degrades with a poor
+    ``p0`` and always dominates the baseline.
     """
     _check_dims(scenario, gains)
-    if tol <= 0 or max_iter < 1:
+    max_iter = _integer("max_iter", max_iter)
+    if not tol > 0 or max_iter < 1:
         raise InvalidInputError("tol must be > 0 and max_iter >= 1")
     n = scenario.n_jammers
     p_floor = default_power_floor(scenario)
@@ -186,12 +188,15 @@ def _charnes_cooper_lp(scenario: Scenario, gains: ChannelGains, active,
     """LP in (p, u): minimise c_p @ p - u subject to the rows
     g_e[m] @ p - p_source*h_e[m]*u >= -sigma2_e[m] for m in ``active``,
     g_d @ p = slice_t0 if given, and 0 <= p <= p_max, u >= 0."""
-    h = scenario.p_source * gains.h_e[active]
-    rows = [(np.append(gains.g_e[m], -h_m), ">=", -s_m)
-            for m, h_m, s_m in zip(active, h, scenario.sigma2_eaves[active])]
+    a = np.column_stack([gains.g_e[active],
+                         -scenario.p_source * gains.h_e[active]])
+    lo = -scenario.sigma2_eaves[active]
+    hi = np.full(active.size, np.inf)
     if slice_t0 is not None:
-        rows.insert(0, (np.append(gains.g_d, 0.0), "=", slice_t0))
-    return LinearProgram(c=np.append(c_p, -1.0), rows=tuple(rows),
+        a = np.vstack([np.append(gains.g_d, 0.0), a])
+        lo, hi = np.append(slice_t0, lo), np.append(slice_t0, hi)
+    return LinearProgram(c=np.append(c_p, -1.0), a=a,
+                         row_lower=lo, row_upper=hi,
                          lower=np.zeros(scenario.n_jammers + 1),
                          upper=np.append(scenario.p_max, np.inf))
 
@@ -241,7 +246,8 @@ def _slice_optimum(scenario: Scenario, gains: ChannelGains, t0: float):
     n = scenario.n_jammers
     active = np.flatnonzero(gains.h_e > 0)
     if not active.size:
-        lp = LinearProgram(c=np.ones(n), rows=((gains.g_d, "=", t0),),
+        lp = LinearProgram(c=np.ones(n), a=gains.g_d[None, :],
+                           row_lower=[t0], row_upper=[t0],
                            lower=np.zeros(n), upper=scenario.p_max)
     else:
         lp = _charnes_cooper_lp(scenario, gains, active, np.zeros(n), t0)
@@ -474,6 +480,8 @@ class KktReport:
 def kkt_check(scenario: Scenario, gains: ChannelGains, p_star,
               n_probes: int = 50, seed: int = 0) -> KktReport:
     _check_dims(scenario, gains)
+    if _integer("n_probes", n_probes) < 1:
+        raise InvalidInputError(f"n_probes must be >= 1, got {n_probes}")
     pv = _p_vec(p_star)
     p_floor = default_power_floor(scenario)
     p_ref = np.clip(pv, p_floor * (1 + 1e-6), scenario.p_max)

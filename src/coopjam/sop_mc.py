@@ -7,13 +7,13 @@ it also covers equal-power settings.  Sampling is counter-based and
 fully reproducible per seed; see _kernels for the counting kernel.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import mc_outage_count
 from .errors import InvalidInputError
+from .model import _integer
 from .sop_analytic import SopScenario
 
 
@@ -23,18 +23,6 @@ class OutageEstimate:
     std_error: float
     n_samples: int
     seed: int
-
-
-def _integer(name, value) -> int:
-    """``value`` as a plain int; InvalidInputError for a bool or a
-    non-integer (a float seed would silently reuse another stream)."""
-    if isinstance(value, bool):
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(
-            f"{name} must be an integer, got {value!r}") from None
 
 
 def estimate_sop(sc: SopScenario, n_samples: int, seed: int) -> OutageEstimate:

@@ -15,11 +15,10 @@ from coopjam import (ChannelGains, Scenario, algorithm_a, algorithm_b,
                      sop_closed_form_n2m1, sop_integral)
 from coopjam.gp import Monomial, Posynomial, condense
 from coopjam.model import secrecy_rate_batch
-from coopjam.numerics import (LinearProgram, exp_integral_ei,
-                              integrate_semi_infinite, lp_solve)
+from coopjam.numerics import exp_integral_ei, integrate_semi_infinite, lp_solve
 from coopjam.sop_analytic import SopScenario
 from tests.conftest import conditioned_sop_scenario, feasible_draws
-from tests.test_numerics import _vertex_optimum
+from tests.test_numerics import _vertex_optimum, random_lp
 
 WORKHORSE = Scenario(n_jammers=3, n_eavesdroppers=2, p_source=2.0,
                      p_max=np.array([1.0, 1.0, 3.0]), sigma2_dest=0.1,
@@ -306,10 +305,7 @@ def test_criterion_11_numerics_kernels():
     status_ok = True
     for _ in range(200):
         n = int(rng.integers(2, 4))
-        rows = tuple((rng.normal(size=n), rng.choice(["<=", ">="]),
-                      float(rng.normal())) for _ in range(int(rng.integers(1, 4))))
-        lp = LinearProgram(c=rng.normal(size=n), rows=rows,
-                           lower=np.full(n, -2.0), upper=np.full(n, 2.0))
+        lp = random_lp(rng, n, int(rng.integers(1, 4)))
         res = lp_solve(lp)
         oracle = _vertex_optimum(lp)
         if res.status == "optimal":

@@ -48,6 +48,12 @@ class TestFeasibility:
         assert res.exit_code == EXIT_INFEASIBLE
         assert "feasible: False" in res.output
 
+    def test_nan_margin_is_failure(self, runner):
+        res = runner.invoke(main, ["feasibility", "--seed", "1",
+                                   "--margin", "nan"])
+        assert res.exit_code == EXIT_FAILURE
+        assert "strict_margin must be finite" in res.output
+
 
 class TestOptimize:
     def test_method_a_json(self, runner):
@@ -71,6 +77,11 @@ class TestOptimize:
         res = runner.invoke(main, ["optimize", "--scenario",
                                    infeasible_file])
         assert res.exit_code == EXIT_INFEASIBLE
+
+    def test_negative_index_is_failure(self, runner):
+        res = runner.invoke(main, ["optimize", "--index", "-1"])
+        assert res.exit_code == EXIT_FAILURE
+        assert "index must be >= 0" in res.output
 
     def test_out_file(self, runner, tmp_path):
         out = tmp_path / "result.json"

@@ -2,13 +2,27 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from coopjam import (ChannelGains, Scenario, check_positive_secrecy,
+from coopjam import (ChannelGains, InvalidInputError, Scenario,
+                     check_positive_secrecy, feasibility, sample_channels,
                      secrecy_rate)
-from coopjam.feasibility import (build_feasibility_lp, build_max_slack_lp,
-                                 default_strict_margin)
+from coopjam.feasibility import build_max_slack_lp, default_strict_margin
 from coopjam.numerics import lp_solve
 from tests.conftest import feasible_draws
+from tests.test_power_opt import _count_lp_calls
+
+
+def cross_multiplied(s, g):
+    """The rows a @ p > b of positive secrecy, built term by term."""
+    a = np.array([[g.h_d * g.g_e[j, k] - g.h_e[j] * g.g_d[k]
+                   for k in range(s.n_jammers)]
+                  for j in range(s.n_eavesdroppers)])
+    b = np.array([g.h_e[j] * s.sigma2_dest - g.h_d * s.sigma2_eaves[j]
+                  for j in range(s.n_eavesdroppers)])
+    return a, b
 
 
 def scalar_scenario(p_max=2.0):
@@ -39,8 +53,8 @@ class TestVerdicts:
         assert v.margin == pytest.approx(want, rel=1e-6)
 
     def test_margin_is_best_worst_slack(self, scenario3x2):
-        # seed 7's first feasible draw needs jamming; its minimum-power
-        # witness sits at the strict margin, the instance does not
+        # seed 7's first feasible draw needs jamming; its witness has
+        # the best worst slack, far above the strict margin
         s = scenario3x2
         g = feasible_draws(s, seed=7, count=1)[0]
         assert secrecy_rate(s, g, np.zeros(3)) == 0.0
@@ -49,10 +63,9 @@ class TestVerdicts:
         assert best.status == "optimal"
         assert v.margin == pytest.approx(best.x[-1], rel=1e-12)
         assert v.margin > 1e6 * default_strict_margin(s, g)
-        rows = build_feasibility_lp(s, g, strict_margin=0.0).rows
-        witness_slack = min(a @ v.witness.p - b for a, _, b in rows)
-        assert witness_slack == pytest.approx(default_strict_margin(s, g),
-                                              rel=1e-6)
+        a, b = cross_multiplied(s, g)
+        assert np.min(a @ v.witness.p - b) == pytest.approx(v.margin,
+                                                           rel=1e-9)
 
     def test_no_jamming_needed(self):
         s = scalar_scenario()
@@ -78,7 +91,6 @@ class TestVerdicts:
         rng = np.random.default_rng(23)
         grid = rng.uniform(0, 1, size=(500, 3)) * scenario3x2.p_max
         for seed in range(30):
-            from coopjam import sample_channels
             g = sample_channels(scenario3x2, seed=seed)
             v = check_positive_secrecy(scenario3x2, g)
             from coopjam.model import secrecy_rate_batch
@@ -91,19 +103,19 @@ class TestVerdicts:
 
 class TestLpConstruction:
     def test_rows_match_cross_multiplied_inequality(self, scenario3x2):
-        from coopjam import sample_channels
+        # (p, z) with a @ p - z >= b: z is every row's slack
         g = sample_channels(scenario3x2, seed=3)
-        lp = build_feasibility_lp(scenario3x2, g, strict_margin=0.0)
-        assert len(lp.rows) == 2
-        for j, (a, sense, b) in enumerate(lp.rows):
-            np.testing.assert_array_equal(
-                a, g.h_d * g.g_e[j] - g.h_e[j] * g.g_d)
-            assert sense == ">="
-            assert b == pytest.approx(
-                g.h_e[j] * scenario3x2.sigma2_dest
-                - g.h_d * scenario3x2.sigma2_eaves[j])
-        np.testing.assert_array_equal(lp.upper, scenario3x2.p_max)
-        np.testing.assert_array_equal(lp.lower, 0.0)
+        lp = build_max_slack_lp(scenario3x2, g)
+        a, b = cross_multiplied(scenario3x2, g)
+        assert lp.a.shape == (2, 4)
+        np.testing.assert_array_equal(lp.a[:, :3], a)
+        np.testing.assert_array_equal(lp.a[:, 3], -1.0)
+        np.testing.assert_array_equal(lp.row_lower, b)
+        np.testing.assert_array_equal(lp.row_upper, np.inf)
+        np.testing.assert_array_equal(lp.c, [0.0, 0.0, 0.0, -1.0])
+        np.testing.assert_array_equal(lp.upper,
+                                      np.append(scenario3x2.p_max, np.inf))
+        np.testing.assert_array_equal(lp.lower, [0.0, 0.0, 0.0, -np.inf])
 
     def test_margin_tightens_constraints(self):
         # a boundary instance flips verdict once the margin exceeds its slack
@@ -120,3 +132,57 @@ class TestLpConstruction:
         assert default_strict_margin(s, g1) == pytest.approx(1e-9)
         assert default_strict_margin(s, g2) == pytest.approx(
             1e-9 * (1e12 * 0.1 - 0.1), rel=1e-9)
+
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -np.inf])
+    def test_non_finite_margin_rejected(self, scenario3x2, margin):
+        # NaN compared false against every margin and so read as
+        # "infeasible" on a feasible draw
+        g = sample_channels(scenario3x2, seed=1)
+        with pytest.raises(InvalidInputError):
+            check_positive_secrecy(scenario3x2, g, strict_margin=margin)
+
+
+class TestOneLp:
+    def test_one_lp_per_verdict(self, scenario3x2, monkeypatch):
+        calls = _count_lp_calls(monkeypatch, feasibility)
+        for seed in range(4):
+            check_positive_secrecy(scenario3x2,
+                                   sample_channels(scenario3x2, seed=seed))
+            assert len(calls) == seed + 1
+
+    @given(n=st.integers(1, 5), m=st.integers(1, 4),
+           p_source=st.floats(0.3, 5.0),
+           caps=st.lists(st.floats(0.1, 4.0), min_size=5, max_size=5),
+           noise=st.lists(st.floats(0.05, 0.3), min_size=4, max_size=4),
+           deaf=st.lists(st.booleans(), min_size=4, max_size=4),
+           blind=st.lists(st.booleans(), min_size=5, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1), index=st.integers(0, 1000))
+    @settings(max_examples=80, deadline=None)
+    def test_verdict_matches_margined_lp(self, n, m, p_source, caps, noise,
+                                         deaf, blind, seed, index):
+        # the verdict against scipy's own solve of the margined system
+        # a @ p >= b + strict_margin over the box; deaf eavesdroppers
+        # (h_e = 0) and jammers the destination cannot hear (g_d = 0)
+        # make rows with one-signed coefficients
+        s = Scenario(n_jammers=n, n_eavesdroppers=m, p_source=p_source,
+                     p_max=caps[:n], sigma2_dest=0.1,
+                     sigma2_eaves=noise[:m])
+        g = sample_channels(s, seed=seed, index=index)
+        g = ChannelGains(h_d=g.h_d, h_e=np.where(deaf[:m], 0.0, g.h_e),
+                         g_d=np.where(blind[:n], 0.0, g.g_d), g_e=g.g_e)
+        strict = default_strict_margin(s, g)
+        v = check_positive_secrecy(s, g)
+        a, b = cross_multiplied(s, g)
+        scale = max(1.0, float(np.max(np.abs(b))))
+        assume(abs(v.margin - strict) > 1e-7 * scale)
+        oracle = scipy.optimize.linprog(
+            np.ones(n), A_ub=-a, b_ub=-(b + strict),
+            bounds=list(zip(np.zeros(n), s.p_max)), method="highs")
+        assert oracle.status in (0, 2)
+        assert v.feasible == (oracle.status == 0)
+        if v.feasible:
+            v.witness.validate_for(s, atol=0.0)
+            assert np.min(a @ v.witness.p - b) == pytest.approx(v.margin,
+                                                               rel=1e-9)
+        else:
+            assert v.witness is None

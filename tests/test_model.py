@@ -139,6 +139,14 @@ class TestSampling:
         ks = scipy.stats.kstest(draws, "expon")
         assert ks.pvalue > 1e-3
 
+    @pytest.mark.parametrize("seed, index", [(1.5, 0), (1, 1.5), (True, 0),
+                                             (1, -1)])
+    def test_bad_seed_or_index_rejected(self, scenario3x2, seed, index):
+        # a float would silently pick another stream and a negative
+        # index has no counter
+        with pytest.raises(InvalidInputError):
+            sample_channels(scenario3x2, seed, index=index)
+
     def test_gains_are_fresh_across_slots(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=2, index=0)
         flat = np.concatenate([[g.h_d], g.h_e, g.g_d, g.g_e.ravel()])

@@ -174,8 +174,8 @@ def _vertex_optimum(lp: LinearProgram):
     satisfy everything, and take the best objective."""
     n = lp.c.size
     planes = []
-    for a, rel, b in lp.rows:
-        planes.append((a, b))
+    for a, lo, hi in zip(lp.a, lp.row_lower, lp.row_upper):
+        planes += [(a, b) for b in {lo, hi} if np.isfinite(b)]
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
@@ -190,15 +190,9 @@ def _vertex_optimum(lp: LinearProgram):
         if abs(np.linalg.det(a_mat)) < 1e-12:
             continue
         x = np.linalg.solve(a_mat, b_vec)
-        ok = (x >= lp.lower - 1e-9).all() and (x <= lp.upper + 1e-9).all()
-        for a, rel, b in lp.rows:
-            v = a @ x
-            if rel == "<=" and v > b + 1e-9:
-                ok = False
-            elif rel == ">=" and v < b - 1e-9:
-                ok = False
-            elif rel == "=" and abs(v - b) > 1e-9:
-                ok = False
+        ok = ((x >= lp.lower - 1e-9).all() and (x <= lp.upper + 1e-9).all()
+              and (lp.a @ x >= lp.row_lower - 1e-9).all()
+              and (lp.a @ x <= lp.row_upper + 1e-9).all())
         if ok:
             val = lp.c @ x
             if best is None or val < best:
@@ -206,12 +200,27 @@ def _vertex_optimum(lp: LinearProgram):
     return best
 
 
+def random_lp(rng, n, n_rows):
+    """LP with ``n_rows`` random one-sided rows in the box [-2, 2]^n.
+    Each row draws its coefficients, its side and its bound in turn,
+    then the objective is drawn."""
+    a = np.empty((n_rows, n))
+    lo, hi = np.full(n_rows, -np.inf), np.full(n_rows, np.inf)
+    for i in range(n_rows):
+        a[i] = rng.normal(size=n)
+        upper_side = rng.choice([True, False])
+        (hi if upper_side else lo)[i] = rng.normal()
+    return LinearProgram(c=rng.normal(size=n), a=a, row_lower=lo,
+                         row_upper=hi, lower=np.full(n, -2.0),
+                         upper=np.full(n, 2.0))
+
+
 class TestLinearProgram:
     def test_known_optimum(self):
         # min x+y s.t. x+2y >= 4, 3x+y >= 6 in the positive quadrant
         lp = LinearProgram(c=np.array([1.0, 1.0]),
-                           rows=((np.array([1.0, 2.0]), ">=", 4.0),
-                                 (np.array([3.0, 1.0]), ">=", 6.0)),
+                           a=np.array([[1.0, 2.0], [3.0, 1.0]]),
+                           row_lower=np.array([4.0, 6.0]),
                            lower=np.zeros(2), upper=np.full(2, np.inf))
         res = lp_solve(lp)
         assert res.status == "optimal"
@@ -220,15 +229,16 @@ class TestLinearProgram:
 
     def test_equality_row(self):
         lp = LinearProgram(c=np.array([1.0, 2.0]),
-                           rows=((np.array([1.0, 1.0]), "=", 3.0),),
+                           a=np.array([[1.0, 1.0]]), row_lower=[3.0],
+                           row_upper=[3.0],
                            lower=np.zeros(2), upper=np.array([2.0, 2.0]))
         res = lp_solve(lp)
         assert res.status == "optimal"
         assert res.x == pytest.approx([2.0, 1.0], abs=1e-9)
 
     def test_infeasible(self):
-        lp = LinearProgram(c=np.ones(1),
-                           rows=((np.array([1.0]), ">=", 5.0),),
+        lp = LinearProgram(c=np.ones(1), a=np.array([[1.0]]),
+                           row_lower=[5.0],
                            lower=np.zeros(1), upper=np.array([1.0]))
         assert lp_solve(lp).status == "infeasible"
 
@@ -242,13 +252,7 @@ class TestLinearProgram:
         solved = 0
         for _ in range(60):
             n = int(rng.integers(2, 4))
-            n_rows = int(rng.integers(1, 4))
-            rows = tuple(
-                (rng.normal(size=n), rng.choice(["<=", ">="]),
-                 float(rng.normal()))
-                for _ in range(n_rows))
-            lp = LinearProgram(c=rng.normal(size=n), rows=rows,
-                               lower=np.full(n, -2.0), upper=np.full(n, 2.0))
+            lp = random_lp(rng, n, int(rng.integers(1, 4)))
             res = lp_solve(lp)
             oracle = _vertex_optimum(lp)
             if res.status == "optimal":
@@ -261,8 +265,15 @@ class TestLinearProgram:
 
     def test_shape_validation(self):
         with pytest.raises(InvalidInputError):
-            LinearProgram(c=np.ones(2), rows=((np.ones(3), "<=", 1.0),))
+            LinearProgram(c=np.ones(2), a=np.ones((1, 3)))
         with pytest.raises(InvalidInputError):
-            LinearProgram(c=np.ones(2), rows=((np.ones(2), "<>", 1.0),))
+            LinearProgram(c=np.ones(2), a=np.ones(2))
+        with pytest.raises(InvalidInputError):
+            LinearProgram(c=np.ones(2), a=np.ones((2, 2)), row_lower=[1.0])
+        with pytest.raises(InvalidInputError):
+            LinearProgram(c=np.ones(2), a=np.ones((1, 2)),
+                          row_upper=[1.0, 2.0])
+        with pytest.raises(InvalidInputError):
+            LinearProgram(c=np.ones(2), row_lower=[1.0])
         with pytest.raises(InvalidInputError):
             LinearProgram(c=np.ones(2), lower=np.zeros(3))

@@ -84,6 +84,17 @@ class TestAlgorithmA:
         with pytest.raises(InvalidInputError):
             algorithm_a(scenario3x2, g, p0=[0.1, 0.1])
 
+    def test_nan_tol_rejected(self, scenario3x2):
+        # tol <= 0 is False for NaN, which used to run to max_iter
+        g = sample_channels(scenario3x2, seed=0)
+        with pytest.raises(InvalidInputError):
+            algorithm_a(scenario3x2, g, tol=float("nan"))
+
+    def test_non_integer_max_iter_rejected(self, scenario3x2):
+        g = sample_channels(scenario3x2, seed=0)
+        with pytest.raises(InvalidInputError):
+            algorithm_a(scenario3x2, g, max_iter=1.5)
+
     def test_unclamped_progress_metric(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=1)
         p = scenario3x2.p_max / 3
@@ -151,14 +162,15 @@ class TestSliceObjective:
             assert (np.diff(after) <= 1e-7).all()
 
 
-def _count_lp_calls(monkeypatch):
+def _count_lp_calls(monkeypatch, module=power_opt):
+    """Record every LP that ``module`` hands to lp_solve."""
     calls = []
 
     def counted(lp, **kwargs):
         calls.append(lp)
         return lp_solve(lp, **kwargs)
 
-    monkeypatch.setattr(power_opt, "lp_solve", counted)
+    monkeypatch.setattr(module, "lp_solve", counted)
     return calls
 
 
@@ -169,11 +181,10 @@ def _bisection_oracle(s, g, t0, rel_tol=1e-9):
     n = s.n_jammers
 
     def reachable(t):
-        rows = [(g.g_d, "=", t0)]
-        for m in range(s.n_eavesdroppers):
-            need = s.p_source * g.h_e[m] * t / (top - t) - s.sigma2_eaves[m]
-            rows.append((g.g_e[m], ">=", need))
-        lp = LinearProgram(c=np.ones(n), rows=tuple(rows),
+        need = s.p_source * g.h_e * t / (top - t) - s.sigma2_eaves
+        lp = LinearProgram(c=np.ones(n), a=np.vstack([g.g_d, g.g_e]),
+                           row_lower=np.append(t0, need),
+                           row_upper=np.append(t0, np.full(need.size, np.inf)),
                            lower=np.zeros(n), upper=s.p_max)
         return lp_solve(lp).status == "optimal"
 
@@ -481,6 +492,11 @@ class TestKktReport:
         # switching the dead jammer back on must not look profitable
         assert rep.boundary_derivative_min is not None
         assert rep.boundary_derivative_min >= -1e-6
+
+    def test_zero_probes_rejected(self, scenario3x2):
+        g = feasible_draws(scenario3x2, seed=43, count=1)[0]
+        with pytest.raises(InvalidInputError):
+            kkt_check(scenario3x2, g, scenario3x2.p_max / 2, n_probes=0)
 
     def test_no_boundary_report_when_all_active(self, scenario3x2):
         g = feasible_draws(scenario3x2, seed=43, count=1)[0]
