@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgesv, dposv
 
 from .errors import (AccuracyError, DomainError, InvalidInputError,
                      NumericalError)
@@ -496,10 +495,14 @@ def gp_solve(problem: GpProblem, tol: float = 1e-9,
         np.multiply(lam, inv_s - 1.0, out=weights[n_terms:])
         hess = (k.T * weights).dot(k)
         rhs = df.T.dot(inv_s * -inv_t) - c
-        _, dz, info = dposv(hess, rhs)
-        if info:
-            _, _, dz, info = dgesv(hess + 1e-10 * np.eye(n), rhs)
-        if info or not math.isfinite(float(dz.dot(dz))):
+        try:
+            dz = np.linalg.solve(hess, rhs)
+        except np.linalg.LinAlgError:
+            try:
+                dz = np.linalg.solve(hess + 1e-10 * np.eye(n), rhs)
+            except np.linalg.LinAlgError:
+                dz = None
+        if dz is None or not math.isfinite(float(dz.dot(dz))):
             raise NumericalError("GP Newton system is singular")
         iterations += 1
         ddz = df.dot(dz)

@@ -185,14 +185,18 @@ def sample_channels(scenario: Scenario, seed: int, index: int = 0) -> ChannelGai
 
     ``index`` selects independent realisations under one seed; drawing
     index ``i`` here reproduces sample ``i`` of the streaming estimator.
-    Raises InvalidInputError unless both are integers and index >= 0.
+    Raises InvalidInputError unless both are integers and index >= 0
+    and the sample's counters fit the stream's 2**64.
     """
     seed = _integer("seed", seed)
     index = _integer("index", index)
     if index < 0:
         raise InvalidInputError(f"index must be >= 0, got {index}")
-    h_d, h_e, g_d, g_e = _kernels.draw_channel_arrays(
-        seed, index, scenario.n_jammers, scenario.n_eavesdroppers)
+    n, m = scenario.n_jammers, scenario.n_eavesdroppers
+    if (index + 1) * (1 + m + n + m * n) > 2 ** 64:
+        raise InvalidInputError(
+            f"index {index} is past the end of the 2**64-counter stream")
+    h_d, h_e, g_d, g_e = _kernels.draw_channel_arrays(seed, index, n, m)
     return ChannelGains(h_d=float(h_d), h_e=h_e, g_d=g_d, g_e=g_e)
 
 

@@ -1,5 +1,5 @@
 """Shared numerical kernels: exponential integral, semi-infinite
-quadrature and a small LP front end.
+quadrature and a small LP solver.
 
 The exponential integral is implemented here rather than imported so its
 accuracy on the product arguments the outage formulas generate is under
@@ -7,15 +7,14 @@ our control (series in extended precision near zero, continued fraction
 for large arguments).  The quadrature is a globally adaptive
 Gauss-Kronrod rule on QUADPACK's map of the half line; its integrand acts
 elementwise on an ndarray of nodes, so each refinement round costs one
-call rather than one Python callback per node.  LP solves delegate to
-scipy behind a thin, typed contract.
+call rather than one Python callback per node.  The LPs, all tiny and
+dense, go to a bounded-variable primal simplex on a numpy tableau.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (AccuracyError, DomainError, InvalidInputError,
                      NumericalError)
@@ -288,28 +287,137 @@ class LpResult:
     value: float | None
 
 
-def lp_solve(lp: LinearProgram, presolve: bool = True) -> LpResult:
-    """Solve a small dense LP (HiGHS under the hood).
+# Passes of the simplex loop (one pricing each, then one pivot or bound
+# flip) before lp_solve gives up with NumericalError.
+_LP_MAX_ITERATIONS = 500
+# A basic variable within this of a bound, relative to max(1, |bound|),
+# counts as feasible.
+_LP_PRIMAL_TOL = 1e-12
+# Reduced costs within this do not pivot; in phase 2 it is relative to
+# max(1, max |c|).
+_LP_DUAL_TOL = 1e-9
+# Tableau entries within this of 0, relative to their column's largest,
+# are never pivoted on.
+_LP_PIVOT_TOL = 1e-9
 
-    Goes through scipy's ``milp`` front end with no integer variables:
-    the same HiGHS LP solve as ``linprog(method="highs")`` at about half
-    the per-call cost; the dense rows pass to it unchanged.
-    ``presolve=False`` skips HiGHS's presolve, whose reductions can call
-    a feasible LP infeasible (see _slice_optimum).
+
+def lp_solve(lp: LinearProgram) -> LpResult:
+    """Solve a small dense LP by a bounded-variable primal simplex.
+
+    Each row i gets an activity variable s_i = a_i @ x, bounded by the
+    row bounds, so the system is [A, -I] @ (x, s) = 0 with every
+    variable between its bounds.  The start basis is s; each x starts at
+    its lower bound, else its upper bound, else 0 (free).  Phase 1
+    minimises the total bound violation of the basic variables, whose
+    per-variable costs of -1, 0 or +1 are re-read each pass; once none
+    is violated, phase 2 minimises c @ x.  The dense tableau
+    B^-1 [A, -I] is updated by one rank-one pivot per basis change.  A
+    step ends at the first bound a basic variable reaches (an infeasible
+    one at the bound it violates), or where the entering variable
+    reaches its other bound, a flip with no basis change.  Entering and
+    leaving variables follow Bland's smallest-index rule, so degenerate
+    pivots cannot cycle (Bland, Math. Oper. Res. 1977).
+
+    The basic values returned are solved afresh from the final basis, so
+    nonbasic variables and rows sit exactly at their bounds.  Statuses:
+    "optimal", "infeasible" (phase 1 stalls with a violation left) or
+    "unbounded" (an improving direction meets no bound).
     """
-    constraints = None
-    if lp.a.size:
-        constraints = scipy.optimize.LinearConstraint(lp.a, lp.row_lower,
-                                                      lp.row_upper)
-    res = scipy.optimize.milp(
-        lp.c, constraints=constraints,
-        bounds=scipy.optimize.Bounds(lp.lower, lp.upper),
-        options=None if presolve else {"presolve": False})
-    if res.status == 0:
-        return LpResult(status="optimal", x=np.asarray(res.x, dtype=float),
-                        value=float(res.fun))
-    if res.status == 2:
+    c, a = lp.c, lp.a
+    k, n = a.shape
+    lo = np.concatenate([lp.lower, lp.row_lower])
+    hi = np.concatenate([lp.upper, lp.row_upper])
+    if (not (np.isfinite(c).all() and np.isfinite(a).all())
+            or np.isnan(lo).any() or np.isnan(hi).any()):
+        raise InvalidInputError("LP data must be finite and bounds not NaN")
+    if (lo > hi).any() or (lo == np.inf).any() or (hi == -np.inf).any():
         return LpResult(status="infeasible", x=None, value=None)
-    if res.status == 3:
-        return LpResult(status="unbounded", x=None, value=None)
-    raise NumericalError(f"LP solver failed: {res.message}")
+    full = np.hstack([a, -np.eye(k)])
+    tab = -full                        # B^-1 [A, -I] for the basis B = -I
+    basis = list(range(n, n + k))
+    y = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0))
+    cost = np.concatenate([c, np.zeros(k)])
+    lo_w = lo - _LP_PRIMAL_TOL * np.maximum(1.0, np.abs(lo))
+    hi_w = hi + _LP_PRIMAL_TOL * np.maximum(1.0, np.abs(hi))
+    cost_tol = _LP_DUAL_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
+    # the directions each nonbasic variable may move in; fixed and basic
+    # variables move in none
+    movable = lo < hi
+    can_up = movable & (y < hi)
+    can_down = movable & (y > lo)
+    can_up[n:] = can_down[n:] = False
+    # per basis position: value, bounds, bounds widened by the
+    # tolerance, and cost
+    yb = a @ y[:n]
+    lo_b, hi_b = lo[n:].copy(), hi[n:].copy()
+    lo_wb, hi_wb = lo_w[n:].copy(), hi_w[n:].copy()
+    cost_b = np.zeros(k)
+    for _ in range(_LP_MAX_ITERATIONS):
+        below = yb < lo_wb
+        above = yb > hi_wb
+        phase1 = below.any() or above.any()
+        if phase1:
+            d = np.subtract(below, above, dtype=float) @ tab
+            tol = _LP_DUAL_TOL
+        else:
+            d = cost - cost_b @ tab
+            tol = cost_tol
+        eligible = ((d < -tol) & can_up) | ((d > tol) & can_down)
+        j = int(eligible.argmax())
+        if not eligible[j]:
+            if phase1:
+                return LpResult(status="infeasible", x=None, value=None)
+            break
+        sign = 1.0 if d[j] < 0 else -1.0
+        alpha = sign * tab[:, j]       # yb moves by -step * alpha
+        size = np.abs(alpha)
+        falling = alpha > 0
+        # a basic variable stops at the bound it violates, else at the
+        # one it moves towards; moving further out, it never stops
+        target = np.where(falling, np.where(above, hi_b, lo_b),
+                          np.where(below, lo_b, hi_b))
+        stops = ((size > _LP_PIVOT_TOL * size.max(initial=0.0))
+                 & ~np.where(falling, below, above))
+        ratio = np.full(k, np.inf)
+        ratio[stops] = np.maximum(
+            (yb[stops] - target[stops]) / alpha[stops], 0.0)
+        theta = ratio.min(initial=np.inf)
+        step = hi[j] - lo[j]
+        if theta >= step:
+            # the entering variable reaches its other bound first
+            if step == np.inf:
+                if phase1:
+                    raise NumericalError("LP phase 1 found no bounded step")
+                return LpResult(status="unbounded", x=None, value=None)
+            yb -= step * alpha
+            y[j] = hi[j] if sign > 0 else lo[j]
+            can_up[j], can_down[j] = sign < 0, sign > 0
+            continue
+        yb -= theta * alpha
+        ties = np.flatnonzero(ratio <= theta + 1e-12 * max(1.0, theta))
+        r = min(ties, key=basis.__getitem__)
+        leaving = basis[r]
+        y[leaving] = target[r]
+        can_up[leaving] = movable[leaving] and target[r] < hi[leaving]
+        can_down[leaving] = movable[leaving] and target[r] > lo[leaving]
+        can_up[j] = can_down[j] = False
+        yb[r] = y[j] + sign * theta
+        row = tab[r] / tab[r, j]
+        tab -= np.outer(tab[:, j], row)
+        tab[r] = row
+        basis[r] = j
+        lo_b[r], hi_b[r], lo_wb[r], hi_wb[r] = lo[j], hi[j], lo_w[j], hi_w[j]
+        cost_b[r] = cost[j]
+    else:
+        raise NumericalError(
+            f"LP simplex did not finish within {_LP_MAX_ITERATIONS} passes")
+    if k:
+        off = np.ones(n + k, dtype=bool)
+        off[basis] = False
+        try:
+            y[basis] = np.linalg.solve(full[:, basis],
+                                       -(full[:, off] @ y[off]))
+        except np.linalg.LinAlgError as err:
+            raise NumericalError(f"LP basis is singular: {err}") from None
+    x = y[:n].copy()
+    return LpResult(status="optimal", x=x, value=float(c @ x))

@@ -164,17 +164,6 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
 # search over received jamming power (independent route)
 # ---------------------------------------------------------------------------
 
-def _onto_slice(p, g_d, t0: float, p_max):
-    """Move the in-box ``p`` onto g_d @ p = t0 by shifting coordinates
-    with g_d > 0 in turn, each within [0, p_max]."""
-    gap = t0 - float(g_d @ p)
-    for i in np.flatnonzero(g_d > 0):
-        target = min(max(p[i] + gap / g_d[i], 0.0), p_max[i])
-        gap -= (target - p[i]) * g_d[i]
-        p[i] = target
-    return p
-
-
 # Past this many slice vertices algorithm_b gives up rather than loop.
 MAX_SLICE_VERTICES = 500
 
@@ -208,71 +197,28 @@ def _attained_u(scenario: Scenario, gains: ChannelGains, active, p) -> float:
 
 
 def _solve_feasible(lp: LinearProgram, what: str):
+    """Solve an LP that is feasible by construction (p = 0, u = 0 is,
+    and 0 <= t0 <= p_max @ g_d keeps a slice so) and bounded."""
     res = lp_solve(lp)
-    if res.status == "infeasible":
-        # Every LP solved here is feasible (p = 0, u = 0 is, and
-        # 0 <= t0 <= p_max @ g_d keeps a slice so), but HiGHS's presolve
-        # calls a slice infeasible when t0 sits within ~1e-9 relative of
-        # a vertex of the box.
-        res = lp_solve(lp, presolve=False)
     if res.status != "optimal":
         raise NumericalError(f"{what} LP is {res.status}")
     return res
 
 
-def _slice_optimum(scenario: Scenario, gains: ChannelGains, t0: float):
-    """Best worst-eavesdropper capacity ratio on the slice where the
-    destination receives total jamming power exactly t0.
-
-    Returns (q, p) with q = max over in-box allocations on the slice of
-    min_m (1+SINR_d)/(1+SINR_e_m).  SINR_d is pinned by t0, so with
-    top = 1 + SINR_d the ratio is top*u/(1+u), where u = min_m 1/SINR_e_m
-    is linear in the powers after the Charnes-Cooper change of
-    variables.  One LP in (p, u) therefore finds the slice optimum:
-
-        max u  s.t.  g_d @ p = t0,
-                     g_e[m] @ p - p_source*h_e[m]*u >= -sigma2_e[m],
-                     0 <= p <= p_max,  u >= 0,
-
-    over the eavesdroppers with h_e[m] > 0.  Without any, u is unbounded
-    and the slice's ratio is top at every point.
-
-    The LP's witness may sit outside the box by up to the solver's
-    feasibility tolerance.  It is then clipped into the box and moved
-    back onto the slice (``_onto_slice``), and q is the exact ratio at
-    the result, top included: the value returned is always one that
-    the returned in-box allocation attains.
-    """
-    n = scenario.n_jammers
-    active = np.flatnonzero(gains.h_e > 0)
-    if not active.size:
-        lp = LinearProgram(c=np.ones(n), a=gains.g_d[None, :],
-                           row_lower=[t0], row_upper=[t0],
-                           lower=np.zeros(n), upper=scenario.p_max)
-    else:
-        lp = _charnes_cooper_lp(scenario, gains, active, np.zeros(n), t0)
-    x = _solve_feasible(lp, f"slice t0={t0}").x[:n]
-    p = np.clip(x, 0.0, scenario.p_max)
-    if ((x < 0) | (x > scenario.p_max)).any():
-        p = _onto_slice(p, gains.g_d, t0, scenario.p_max)
-    top = 1.0 + scenario.p_source * gains.h_d / (scenario.sigma2_dest
-                                                 + float(gains.g_d @ p))
-    if not active.size:
-        return top, p
-    # Score the witness itself rather than the solver's u, which may sit
-    # up to the LP's feasibility tolerance past what p attains.
-    u = _attained_u(scenario, gains, active, p)
-    q = top * u / (1.0 + u)
-    return q if q > 0 else 1.0, p
-
-
 def _slice_vertices(scenario: Scenario, gains: ChannelGains):
     """Breakpoints of the slice value u*(t) over 0 <= t <= t_max.
 
-    u*(t), the optimum of ``_slice_optimum``'s LP as a function of the
-    received jamming power t = g_d @ p, is the value of an LP in one
-    right-hand side, so it is concave and piecewise linear.  The
-    sandwich method (Eisner & Severance, J. ACM 1976) finds its
+    u*(t), the best u = min_m 1/SINR_e_m over in-box allocations on the
+    slice where the destination receives jamming power t = g_d @ p, is
+    after the Charnes-Cooper change of variables the value of the LP
+
+        max u  s.t.  g_d @ p = t,
+                     g_e[m] @ p - p_source*h_e[m]*u >= -sigma2_e[m],
+                     0 <= p <= p_max,  u >= 0
+
+    over the eavesdroppers with h_e[m] > 0 (``_charnes_cooper_lp``), an
+    LP in one right-hand side, so u* is concave and piecewise linear.
+    The sandwich method (Eisner & Severance, J. ACM 1976) finds its
     vertices: the slice LP gives the two end points; for neighbours a
     and b, the LP max u - lam*g_d@p with lam the slope of chord ab and
     without the slice row either finds a point above the chord, a new

@@ -83,6 +83,14 @@ class TestOptimize:
         assert res.exit_code == EXIT_FAILURE
         assert "index must be >= 0" in res.output
 
+    def test_index_past_stream_end_is_failure(self, runner):
+        # (index + 1) * draws per sample passes the 2**64 counters
+        res = runner.invoke(main, ["optimize", "--index",
+                                   "100000000000000000000"])
+        assert res.exit_code == EXIT_FAILURE
+        assert "Traceback" not in res.output
+        assert "past the end" in res.output
+
     def test_out_file(self, runner, tmp_path):
         out = tmp_path / "result.json"
         res = runner.invoke(main, ["optimize", "--seed", "1",

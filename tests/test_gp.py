@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopjam import sample_channels
-from coopjam.errors import (AccuracyError, DomainError, InvalidInputError)
+from coopjam.errors import (AccuracyError, DomainError, InvalidInputError,
+                            NumericalError)
 from coopjam.gp import (GpProblem, Monomial, Posynomial, build_approx_program,
                         condense, condensed_ratios, gp_solve,
                         sinr_ratio_parts)
@@ -266,6 +267,39 @@ class TestPrimalDual:
         sol = gp_solve(prob)
         assert sol.newton_iterations <= 40
         assert sol.duality_gap <= 1e-9
+
+    def test_singular_newton_system_is_regularised(self, scenario3x2,
+                                                   monkeypatch):
+        g = sample_channels(scenario3x2, seed=5)
+        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
+        solve = np.linalg.solve
+        calls = []
+
+        def first_singular(a, b):
+            calls.append(a)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", first_singular)
+        sol = gp_solve(prob)
+        # the retry is the same system shifted by 1e-10 * I
+        np.testing.assert_allclose(calls[1] - calls[0],
+                                   1e-10 * np.eye(calls[0].shape[0]),
+                                   rtol=0, atol=1e-15)
+        assert sol.value == pytest.approx(SEED5_HALF_POWER_VALUE, rel=1e-9)
+
+    def test_singular_after_regularisation_raises(self, scenario3x2,
+                                                  monkeypatch):
+        g = sample_channels(scenario3x2, seed=5)
+        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NumericalError, match="singular"):
+            gp_solve(prob)
 
     def test_arrays_match_constraint_views(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=8)

@@ -147,6 +147,15 @@ class TestSampling:
         with pytest.raises(InvalidInputError):
             sample_channels(scenario3x2, seed, index=index)
 
+    def test_index_past_stream_end_rejected(self, scenario3x2):
+        # 12 draws per sample: the last sample whose counters fit in
+        # 2**64 draws, then the first that does not
+        last = 2 ** 64 // 12 - 1
+        g = sample_channels(scenario3x2, seed=0, index=last)
+        assert np.isfinite(g.g_e).all()
+        with pytest.raises(InvalidInputError):
+            sample_channels(scenario3x2, seed=0, index=last + 1)
+
     def test_gains_are_fresh_across_slots(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=2, index=0)
         flat = np.concatenate([[g.h_d], g.h_e, g.g_d, g.g_e.ravel()])

@@ -1,4 +1,4 @@
-"""Exponential integral, semi-infinite quadrature, LP wrapper."""
+"""Exponential integral, semi-infinite quadrature, LP kernel."""
 
 import itertools
 import os
@@ -8,13 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import coopjam
+from coopjam import ChannelGains, Scenario, numerics
 from coopjam.errors import (AccuracyError, DomainError, InvalidInputError,
                             NumericalError)
+from coopjam.feasibility import build_max_slack_lp
 from coopjam.numerics import (LinearProgram, exp_integral_ei,
                               integrate_semi_infinite, lp_solve,
                               scaled_exp_integral_ei)
+from coopjam.power_opt import _charnes_cooper_lp
 
 # mpmath reference values, 20 digits
 EI_TABLE = {
@@ -156,16 +162,18 @@ class TestQuadrature:
             integrate_semi_infinite(lambda x: 0.0, 0.0, max_subdivisions=0)
 
 
-def test_import_does_not_load_scipy_integrate():
-    # the quadrature is the library's own; importing scipy.integrate
-    # would add its load time to every process that imports coopjam
+def test_import_does_not_load_scipy():
+    # the quadrature, the LP kernel and the GP Newton solves are the
+    # library's own; any scipy module would add its load time to every
+    # process that imports coopjam
     src = str(Path(coopjam.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, coopjam; print('scipy.integrate' in sys.modules)"],
+         "import sys, coopjam; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def _vertex_optimum(lp: LinearProgram):
@@ -277,3 +285,134 @@ class TestLinearProgram:
             LinearProgram(c=np.ones(2), row_lower=[1.0])
         with pytest.raises(InvalidInputError):
             LinearProgram(c=np.ones(2), lower=np.zeros(3))
+
+    def test_vertex_values_to_rounding(self):
+        # the kernel's optimum is a vertex solved afresh from its basis,
+        # so it matches the brute-force vertex value to rounding
+        rng = np.random.default_rng(8)
+        solved = 0
+        for _ in range(100):
+            n = int(rng.integers(2, 4))
+            lp = random_lp(rng, n, int(rng.integers(1, 4)))
+            res = lp_solve(lp)
+            oracle = _vertex_optimum(lp)
+            if res.status == "optimal":
+                solved += 1
+                assert res.value == pytest.approx(oracle, rel=0, abs=1e-12)
+            else:
+                assert oracle is None
+        assert solved > 40
+
+    def test_beale_cycling_example(self):
+        # Beale (1955): from the slack basis, the largest-coefficient
+        # rule cycles through degenerate pivots on this LP forever
+        lp = LinearProgram(c=[-0.75, 20.0, -0.5, 6.0],
+                           a=[[0.25, -8.0, -1.0, 9.0],
+                              [0.5, -12.0, -0.5, 3.0],
+                              [0.0, 0.0, 1.0, 0.0]],
+                           row_upper=[0.0, 0.0, 1.0], lower=np.zeros(4))
+        res = lp_solve(lp)
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(-1.25, rel=0, abs=1e-12)
+        assert res.x == pytest.approx([1.0, 0.0, 1.0, 0.0], rel=0, abs=1e-12)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        lp = LinearProgram(c=np.array([1.0, 1.0]),
+                           a=np.array([[1.0, 2.0], [3.0, 1.0]]),
+                           row_lower=np.array([4.0, 6.0]),
+                           lower=np.zeros(2))
+        assert lp_solve(lp).status == "optimal"
+        monkeypatch.setattr(numerics, "_LP_MAX_ITERATIONS", 1)
+        with pytest.raises(NumericalError):
+            lp_solve(lp)
+
+    def test_non_finite_data_rejected(self):
+        with pytest.raises(InvalidInputError):
+            lp_solve(LinearProgram(c=np.array([np.nan])))
+        with pytest.raises(InvalidInputError):
+            lp_solve(LinearProgram(c=np.ones(1), a=np.array([[np.inf]]),
+                                   row_lower=[0.0]))
+
+    def test_crossed_bounds_are_infeasible(self):
+        lp = LinearProgram(c=np.ones(2), lower=np.array([0.0, 2.0]),
+                           upper=np.array([1.0, 1.0]))
+        assert lp_solve(lp).status == "infeasible"
+
+
+def _linprog_oracle(lp: LinearProgram):
+    """(status, value) of ``lp`` by scipy's HiGHS ``linprog``.
+
+    At HiGHS's default tolerances of 1e-7 its optimum can trail by more
+    than 1e-7 relative: on max u - 3e-8 p, a reduced cost of 3e-8 passes
+    for 0.  The tolerances here are 1e-10."""
+    eq = lp.row_lower == lp.row_upper
+    up = ~eq & np.isfinite(lp.row_upper)
+    down = ~eq & np.isfinite(lp.row_lower)
+    a_ub = np.vstack([lp.a[up], -lp.a[down]])
+    b_ub = np.concatenate([lp.row_upper[up], -lp.row_lower[down]])
+    res = scipy.optimize.linprog(
+        lp.c, A_ub=a_ub if b_ub.size else None,
+        b_ub=b_ub if b_ub.size else None,
+        A_eq=lp.a[eq] if eq.any() else None,
+        b_eq=lp.row_lower[eq] if eq.any() else None,
+        bounds=list(zip(lp.lower, lp.upper)), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10})
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, res.fun
+
+
+_GAIN = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
+
+
+@st.composite
+def _library_lps(draw):
+    """The LPs the library builds: the max-slack feasibility LP, and
+    algorithm_b's slice and tilted LPs, on draws with zeroed gains."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    s = Scenario(n_jammers=n, n_eavesdroppers=m,
+                 p_source=draw(st.floats(0.5, 5.0)),
+                 p_max=draw(st.lists(st.floats(0.1, 4.0), min_size=n,
+                                     max_size=n)),
+                 sigma2_dest=draw(st.floats(0.01, 1.0)),
+                 sigma2_eaves=draw(st.lists(st.floats(0.01, 1.0), min_size=m,
+                                            max_size=m)))
+    g = ChannelGains(
+        h_d=draw(_GAIN),
+        h_e=draw(st.lists(_GAIN, min_size=m, max_size=m)),
+        g_d=draw(st.lists(_GAIN, min_size=n, max_size=n)),
+        g_e=np.reshape(draw(st.lists(_GAIN, min_size=m * n,
+                                     max_size=m * n)), (m, n)))
+    kind = draw(st.sampled_from(["max_slack", "slice", "tilted"]))
+    if kind == "max_slack":
+        return build_max_slack_lp(s, g)
+    active = np.flatnonzero(g.h_e > 0)
+    assume(active.size)  # algorithm_b needs an eavesdropper that hears
+    if kind == "slice":
+        # past the end of the slices, so some are infeasible; within the
+        # solvers' feasibility tolerances of the end, the status is theirs
+        fraction = draw(st.floats(0.0, 1.2))
+        assume(not 1.0 < fraction < 1.0 + 1e-6)
+        t0 = fraction * float(s.p_max @ g.g_d)
+        return _charnes_cooper_lp(s, g, active, np.zeros(n), t0)
+    return _charnes_cooper_lp(s, g, active, draw(st.floats(-5.0, 5.0)) * g.g_d)
+
+
+class TestLibraryLps:
+    @given(lp=_library_lps())
+    @settings(max_examples=300, deadline=None)
+    def test_match_highs(self, lp):
+        res = lp_solve(lp)
+        status, value = _linprog_oracle(lp)
+        assert res.status == status
+        if status != "optimal":
+            return
+        assert abs(res.value - value) <= 1e-7 * max(1.0, abs(value))
+        x = res.x
+        rows = lp.a @ x
+        row_tol = 1e-12 * (1.0 + np.abs(lp.a) @ np.abs(x))
+        assert (rows >= lp.row_lower - row_tol).all()
+        assert (rows <= lp.row_upper + row_tol).all()
+        box_tol = 1e-12 * (1.0 + np.abs(x))
+        assert (x >= lp.lower - box_tol).all()
+        assert (x <= lp.upper + box_tol).all()

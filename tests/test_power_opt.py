@@ -13,8 +13,65 @@ from coopjam import (ChannelGains, InvalidInputError, NumericalError,
 from coopjam.feasibility import default_strict_margin
 from coopjam.model import secrecy_rate_batch, sinr_eavesdropper
 from coopjam.numerics import LinearProgram, lp_solve
-from coopjam.power_opt import _slice_optimum, max_sinr_ratio
+from coopjam.power_opt import (_attained_u, _charnes_cooper_lp,
+                               _solve_feasible, max_sinr_ratio)
 from tests.conftest import feasible_draws
+
+
+def _onto_slice(p, g_d, t0: float, p_max):
+    """Move the in-box ``p`` onto g_d @ p = t0 by shifting coordinates
+    with g_d > 0 in turn, each within [0, p_max]."""
+    gap = t0 - float(g_d @ p)
+    for i in np.flatnonzero(g_d > 0):
+        target = min(max(p[i] + gap / g_d[i], 0.0), p_max[i])
+        gap -= (target - p[i]) * g_d[i]
+        p[i] = target
+    return p
+
+
+def _slice_optimum(scenario: Scenario, gains: ChannelGains, t0: float):
+    """Best worst-eavesdropper capacity ratio on the slice where the
+    destination receives total jamming power exactly t0.
+
+    Returns (q, p) with q = max over in-box allocations on the slice of
+    min_m (1+SINR_d)/(1+SINR_e_m).  SINR_d is pinned by t0, so with
+    top = 1 + SINR_d the ratio is top*u/(1+u), where u = min_m 1/SINR_e_m
+    is linear in the powers after the Charnes-Cooper change of
+    variables.  One LP in (p, u) therefore finds the slice optimum:
+
+        max u  s.t.  g_d @ p = t0,
+                     g_e[m] @ p - p_source*h_e[m]*u >= -sigma2_e[m],
+                     0 <= p <= p_max,  u >= 0,
+
+    over the eavesdroppers with h_e[m] > 0.  Without any, u is unbounded
+    and the slice's ratio is top at every point.
+
+    A witness outside the box by rounding is clipped into it and moved
+    back onto the slice (``_onto_slice``), and q is the exact ratio at
+    the result, top included: the value returned is always one that
+    the returned in-box allocation attains.
+    """
+    n = scenario.n_jammers
+    active = np.flatnonzero(gains.h_e > 0)
+    if not active.size:
+        lp = LinearProgram(c=np.ones(n), a=gains.g_d[None, :],
+                           row_lower=[t0], row_upper=[t0],
+                           lower=np.zeros(n), upper=scenario.p_max)
+    else:
+        lp = _charnes_cooper_lp(scenario, gains, active, np.zeros(n), t0)
+    x = _solve_feasible(lp, f"slice t0={t0}").x[:n]
+    p = np.clip(x, 0.0, scenario.p_max)
+    if ((x < 0) | (x > scenario.p_max)).any():
+        p = _onto_slice(p, gains.g_d, t0, scenario.p_max)
+    top = 1.0 + scenario.p_source * gains.h_d / (scenario.sigma2_dest
+                                                 + float(gains.g_d @ p))
+    if not active.size:
+        return top, p
+    # Score the witness itself rather than the solver's u, which may sit
+    # past what p attains by rounding.
+    u = _attained_u(scenario, gains, active, p)
+    q = top * u / (1.0 + u)
+    return q if q > 0 else 1.0, p
 
 
 class TestAlgorithmA:
@@ -166,9 +223,9 @@ def _count_lp_calls(monkeypatch, module=power_opt):
     """Record every LP that ``module`` hands to lp_solve."""
     calls = []
 
-    def counted(lp, **kwargs):
+    def counted(lp):
         calls.append(lp)
-        return lp_solve(lp, **kwargs)
+        return lp_solve(lp)
 
     monkeypatch.setattr(module, "lp_solve", counted)
     return calls
@@ -235,9 +292,11 @@ class TestSliceLp:
                                               rel=2e-6)
 
     def test_slice_next_to_a_vertex(self):
-        # HiGHS's presolve calls this slice infeasible: t0 is 1.2e-7 below
+        # A slice next to a vertex of the box: t0 is 1.2e-7 below
         # p_max[0]*g_d[0] + p_max[1]*g_d[1], where algorithm_b's search
-        # ended on this draw.
+        # ended on this draw.  An LP presolve that fixes variables at
+        # their bounds within its tolerance (HiGHS's did) calls it
+        # infeasible.
         s = Scenario(n_jammers=3, n_eavesdroppers=2, p_source=4.0,
                      p_max=[0.25, 4.0, 0.109375], sigma2_dest=0.1,
                      sigma2_eaves=[0.1, 0.1])
@@ -250,9 +309,10 @@ class TestSliceLp:
         assert (alloc.p >= 0).all() and (alloc.p <= s.p_max).all()
 
     def test_value_attained_by_clipped_witness(self):
-        # Same slice as above: with presolve off, HiGHS's witness has
-        # p[2] ~ -9.7e-8, whose ratio is ~5e-7 above what any in-box
-        # allocation on or near the slice attains.
+        # Same slice as above: a witness outside the box by the solver's
+        # tolerance (HiGHS's had p[2] ~ -9.7e-8) scores a ratio ~5e-7
+        # above what any in-box allocation on or near the slice attains;
+        # the value must be the one the returned in-box p attains.
         s = Scenario(n_jammers=3, n_eavesdroppers=2, p_source=4.0,
                      p_max=[0.25, 4.0, 0.109375], sigma2_dest=0.1,
                      sigma2_eaves=[0.1, 0.1])
