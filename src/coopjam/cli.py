@@ -14,15 +14,15 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import CoopJamError
+from .errors import CoopJamError, DegeneratePowersError, ResourceLimitError
 from .experiments import (EXPERIMENTS, ExperimentConfig, default_scenario,
                           run_experiment, write_rows)
 from .feasibility import check_positive_secrecy
 from .model import (load_scenario, sample_channels, save_scenario,
                     scenario_to_dict)
 from .power_opt import algorithm_a, algorithm_b, best_jammer_selection
-from .sop_analytic import (SopScenario, perturb_distinct, sop_closed_form,
-                           sop_closed_form_n2m1, sop_integral)
+from .sop_analytic import (SopScenario, sop_closed_form, sop_closed_form_n2m1,
+                           sop_integral)
 from .sop_mc import estimate_sop
 
 EXIT_INFEASIBLE = 2
@@ -139,23 +139,28 @@ def optimize(scenario_path, seed, index, method, tol, max_iter, out_path,
               default="integral", show_default=True)
 @click.option("--samples", default=1_000_000, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--perturb", is_flag=True,
-              help="Nudge tied jammer powers apart for the analytic routes.")
 @click.option("--json", "as_json", is_flag=True)
 @_guarded
-def sop(rate, scenario_path, method, samples, seed, perturb, as_json):
-    """Secrecy outage probability when jammers transmit at p_max."""
+def sop(rate, scenario_path, method, samples, seed, as_json):
+    """Secrecy outage probability when jammers transmit at p_max.
+
+    With --method all, a closed form that cannot run (tied powers, too
+    many terms) is reported as null with the reason."""
     if scenario_path:
         scenario, _ = load_scenario(scenario_path)
     else:
         scenario = default_scenario()
-    if perturb:
-        scenario = perturb_distinct(scenario)
     sc = SopScenario(scenario=scenario, rate=rate)
     doc = {"rate": rate, "method": method,
            "p_max": scenario.p_max.tolist(), "p_source": scenario.p_source}
     if method in ("closed", "all"):
-        doc["closed"] = sop_closed_form(sc).p_out
+        try:
+            res = sop_closed_form(sc)
+            doc.update(closed=res.p_out, closed_err=res.error_estimate)
+        except (DegeneratePowersError, ResourceLimitError) as exc:
+            if method == "closed":
+                raise
+            doc.update(closed=None, closed_unavailable=str(exc))
     if method == "closed-n2m1":
         doc["closed_n2m1"] = sop_closed_form_n2m1(sc).p_out
     if method in ("integral", "all"):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, InvalidInputError,
                      NumericalError)
+from .model import _integer
 
 _EULER_GAMMA = 0.57721566490153286060651209008240243
 
@@ -200,8 +201,10 @@ def integrate_semi_infinite(f, a: float, rel_tol: float = 1e-10,
     """
     if not np.isfinite(a):
         raise InvalidInputError("lower limit must be finite")
-    if rel_tol <= 0:
-        raise InvalidInputError("rel_tol must be positive")
+    if not (rel_tol > 0 and math.isfinite(rel_tol)):
+        raise InvalidInputError(
+            f"rel_tol must be finite and positive, got {rel_tol}")
+    max_subdivisions = _integer("max_subdivisions", max_subdivisions)
     if max_subdivisions < 1:
         raise InvalidInputError("max_subdivisions must be at least 1")
     centre, half = np.array([0.5]), np.array([0.5])

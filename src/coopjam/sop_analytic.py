@@ -1,26 +1,25 @@
 """Secrecy outage probability over Rayleigh fading, analytically.
 
-With unit-mean exponential power gains, the destination SINR under
-always-on jamming at fixed powers P_n has a closed CDF built from the
-hypoexponential partial-fraction coefficients A_n; the eavesdroppers'
-best SINR has the product-of-CDFs law.  The outage probability
+With unit-mean exponential power gains, the jamming sum at fixed powers
+P_n has the Laplace transform L(x) = prod_n p_s / (P_n x + p_s), so a
+receiver with noise sigma2 sees an SINR with CDF
+1 - exp(-sigma2 x / p_s) L(x) for any positive powers, tied ones
+included; the eavesdroppers' best SINR has the product of their CDFs.
+The outage probability
 
     P_out = Pr[secrecy rate < target]
 
-is then a single semi-infinite integral, and that integral collapses to
-exponential-integral terms after a binomial expansion of the CDF
-product and a partial-fraction split of every resulting rational
-factor.  Both routes are implemented (quadrature and closed form) plus
-the printed two-jammer/one-eavesdropper special case, so they can
-cross-check each other; the Monte Carlo route lives in sop_mc.
-
-Requires pairwise-distinct jammer powers (the A_n blow up otherwise);
-see perturb_distinct for the standard workaround.
+is then a single semi-infinite integral, evaluated by quadrature in
+sop_integral.  It also collapses to exponential-integral terms after a
+binomial expansion of the CDF product and a partial-fraction split
+(the hypoexponential coefficients A_n) of every rational factor; that
+closed form and the printed two-jammer/one-eavesdropper special case
+need pairwise-distinct jammer powers.  The routes cross-check each
+other; the Monte Carlo route lives in sop_mc.
 """
 
 import itertools
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
@@ -29,7 +28,7 @@ import numpy as np
 
 from .errors import (DegeneratePowersError, InvalidInputError,
                      ResourceLimitError)
-from .model import Scenario
+from .model import Scenario, _integer
 from .numerics import integrate_semi_infinite, scaled_exp_integral_ei
 
 MIN_RELATIVE_POWER_GAP = 1e-6
@@ -48,25 +47,8 @@ def require_distinct(powers, min_gap: float, context: str):
     if gap < min_gap:
         raise DegeneratePowersError(
             f"{context}: jammer powers too close (relative gap {gap:.2e} "
-            f"< {min_gap:.0e}); separate them or use perturb_distinct()")
-
-
-def perturb_distinct(scenario: Scenario, rel: float = 2e-6) -> Scenario:
-    """Nudge each jammer power by a distinct relative amount so the
-    partial-fraction formulas apply; changes the answer by O(rel).
-
-    The default step is twice the acceptance gap so the perturbed
-    powers clear the distinctness check instead of landing on it.
-    """
-    warnings.warn(f"perturbing jammer powers by up to {scenario.n_jammers * rel:.1e} "
-                  "relative to break power ties", stacklevel=2)
-    scale = 1.0 + rel * np.arange(1, scenario.n_jammers + 1)
-    return Scenario(n_jammers=scenario.n_jammers,
-                    n_eavesdroppers=scenario.n_eavesdroppers,
-                    p_source=scenario.p_source,
-                    p_max=scenario.p_max * scale,
-                    sigma2_dest=scenario.sigma2_dest,
-                    sigma2_eaves=scenario.sigma2_eaves)
+            f"< {min_gap:.0e}); separate them, or use sop_integral or "
+            "estimate_sop, which accept tied powers")
 
 
 @dataclass(frozen=True)
@@ -136,47 +118,46 @@ def sop_constants(sc: SopScenario) -> SopConstants:
 # SINR distributions
 # ---------------------------------------------------------------------------
 
-def _cdf_sinr_max(x, powers, ps, sigma2s, ap):
+def _cdf_sinr_max(x, powers, ps, sigma2s):
     """CDF of the largest of independent SINRs ps*h / (sum_n P_n g_n +
     sigma2), one per noise variance in the array ``sigma2s``, all gains
-    unit-mean exponential, evaluated elementwise for x >= 0; ``ap`` holds
-    A_n * P_n.
+    unit-mean exponential, evaluated elementwise for x >= 0.
 
-    The jamming sum is the same for every receiver, so it is formed once
-    and all factors of the product are evaluated together.
+    The jamming sum is the same for every receiver, so its Laplace
+    transform L(x) is formed once and all factors of the product are
+    evaluated together.
     """
     x = np.asarray(x, dtype=float)
-    # np.add.reduce is ndarray.sum without its Python-level wrapper, which
-    # is a noticeable share of one quadrature evaluation
-    jam = np.add.reduce(ap / (powers * x[..., None] + ps), -1)
+    # L(x); np.multiply.reduce is ndarray.prod without its Python-level
+    # wrapper, which is a noticeable share of one quadrature evaluation
+    lap = np.multiply.reduce(ps / (powers * x[..., None] + ps), -1)
     sigma2s = sigma2s.reshape((-1,) + (1,) * x.ndim)
-    val = np.where(x < 0, 0.0, 1.0 - ps * np.exp(-sigma2s * x / ps) * jam)
+    val = np.where(x < 0, 0.0, 1.0 - np.exp(-sigma2s * x / ps) * lap)
     return np.multiply.reduce(val)
 
 
 def cdf_gamma_d(x, scenario: Scenario):
-    p = scenario.p_max
-    return _cdf_sinr_max(x, p, scenario.p_source,
-                         np.array([scenario.sigma2_dest]), coeff_a(p) * p)
+    return _cdf_sinr_max(x, scenario.p_max, scenario.p_source,
+                         np.array([scenario.sigma2_dest]))
 
 
-def _pdf_dest(u, p, ps: float, sig_d: float, ap, psp):
+def _pdf_dest(u, p, ps: float, sig_d: float):
     """Destination SINR density, elementwise over u >= 0, for jammer
-    powers ``p``, source power ``ps`` and noise ``sig_d``; ``ap`` is
-    coeff_a(p) * p and ``psp`` is ps * p, passed in so callers form them
-    once."""
+    powers ``p``, source power ``ps`` and noise ``sig_d``: the
+    derivative of 1 - exp(-sig_d u / ps) L(u), using
+    -L'(u)/L(u) = sum_n P_n / (P_n u + ps)."""
     u = np.asarray(u, dtype=float)
     denom = p * u[..., None] + ps
-    inner = np.add.reduce(ap * (sig_d / denom + psp / denom ** 2), -1)
-    return np.exp(-sig_d * u / ps) * inner
+    lap = np.multiply.reduce(ps / denom, -1)
+    rate = sig_d / ps + np.add.reduce(p / denom, -1)
+    return np.exp(-sig_d * u / ps) * lap * rate
 
 
 def cdf_gamma_emax(x, scenario: Scenario):
     """CDF of the largest eavesdropper SINR (independent across
     eavesdroppers given the fixed jammer powers)."""
-    p = scenario.p_max
-    return _cdf_sinr_max(x, p, scenario.p_source, scenario.sigma2_eaves,
-                         coeff_a(p) * p)
+    return _cdf_sinr_max(x, scenario.p_max, scenario.p_source,
+                         scenario.sigma2_eaves)
 
 
 # ---------------------------------------------------------------------------
@@ -193,35 +174,28 @@ class SopResult:
 def sop_integral(sc: SopScenario, rel_tol: float = 1e-10) -> SopResult:
     """Outage probability by integrating the unexpanded product form.
 
-    P_no_outage = mu * int_0^inf F_emax(x) f_d(mu*(x - nu)) dx; keeping
-    the CDF product intact avoids the alternating-sign expansion, so
-    this route degrades only linearly (not combinatorially) as jammer
-    powers approach each other.  The requested tolerance is floored at
-    the integrand's own rounding noise, which scales with the
-    partial-fraction coefficients.
+    P_no_outage = mu * int_0^inf F_emax(x) f_d(mu*(x - nu)) dx with
+    mu = 2**rate and nu = 2**(-rate) - 1.  Both laws are evaluated in
+    product form, without partial fractions, so any positive jammer
+    powers are accepted, tied ones included, and the integrand is as
+    accurate at a tie as away from one.  ``rel_tol`` must be finite and
+    positive.
 
-    ``error_estimate`` is mu times the quadrature's error estimate plus
-    the mass the rounded coefficients gain or lose, |1 - sum_n A_n P_n|
-    (the size of the computed destination CDF at 0).  Near-tied powers
-    make that mass, not the quadrature, the dominant error.
+    ``error_estimate`` is mu times the quadrature's error estimate.
     """
     s = sc.scenario
-    k = sop_constants(sc)
+    mu = 2.0 ** sc.rate
+    nu = 2.0 ** (-sc.rate) - 1.0
     p, ps, sig_d, sig_e = s.p_max, s.p_source, s.sigma2_dest, s.sigma2_eaves
-    ap = k.a_coeff * p
-    psp = ps * p
 
     def integrand(x):
-        return (_cdf_sinr_max(x, p, ps, sig_e, ap)
-                * _pdf_dest(k.mu * (x - k.nu), p, ps, sig_d, ap, psp))
+        return (_cdf_sinr_max(x, p, ps, sig_e)
+                * _pdf_dest(mu * (x - nu), p, ps, sig_d))
 
-    noise = 1e-15 * float(np.abs(ap).sum())
-    quad = integrate_semi_infinite(integrand, 0.0,
-                                   rel_tol=max(rel_tol, noise))
-    p_out = min(1.0, max(0.0, 1.0 - k.mu * quad.value))
-    lost_mass = abs(1.0 - math.fsum(ap))
+    quad = integrate_semi_infinite(integrand, 0.0, rel_tol=rel_tol)
+    p_out = min(1.0, max(0.0, 1.0 - mu * quad.value))
     return SopResult(p_out=p_out, method="integral",
-                     error_estimate=k.mu * quad.abs_error_estimate + lost_mass)
+                     error_estimate=mu * quad.abs_error_estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +357,8 @@ def sop_closed_form(sc: SopScenario, max_terms: int = 200_000) -> SopResult:
     s = sc.scenario
     n = s.n_jammers
     m_eaves = s.n_eavesdroppers
+    if _integer("max_terms", max_terms) < 1:
+        raise InvalidInputError("max_terms must be at least 1")
     if expansion_term_count(n, m_eaves) > max_terms:
         raise ResourceLimitError(
             f"closed form needs {expansion_term_count(n, m_eaves)} "

@@ -103,18 +103,31 @@ class TestOptimize:
 
 class TestSop:
     def test_tied_default_powers_fail_without_perturb(self, runner):
+        # the closed form needs distinct powers; the default (1, 1, 3) W
+        # has a tie, and the message points to the routes that take it
         res = runner.invoke(main, ["sop", "--rate", "0.5",
-                                   "--method", "integral"])
+                                   "--method", "closed"])
         assert res.exit_code == EXIT_FAILURE
-        assert "perturb" in res.output
+        assert "sop_integral" in res.output
+        assert "Traceback" not in res.output
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_perturb_unlocks_analytic_routes(self, runner):
-        res = runner.invoke(main, ["sop", "--rate", "0.5", "--perturb",
+    def test_integral_takes_tied_default_powers(self, runner):
+        res = runner.invoke(main, ["sop", "--rate", "0.5",
                                    "--method", "integral", "--json"])
         assert res.exit_code == 0
         doc = json.loads(res.output)
-        assert 0.0 <= doc["integral"] <= 1.0
+        assert doc["integral"] == pytest.approx(0.8642882498, abs=1e-9)
+
+    def test_all_methods_on_tied_powers_keep_integral_and_mc(self, runner):
+        res = runner.invoke(main, ["sop", "--rate", "1.0", "--method", "all",
+                                   "--samples", "1000000", "--json"])
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        assert doc["closed"] is None
+        assert "too close" in doc["closed_unavailable"]
+        assert "closed_err" not in doc
+        assert doc["mc"] == pytest.approx(doc["integral"],
+                                          abs=4 * doc["mc_std_error"])
 
     def test_all_methods_consistent(self, runner, distinct_file):
         res = runner.invoke(main, ["sop", "--rate", "0.4", "--method", "all",
@@ -123,6 +136,8 @@ class TestSop:
         assert res.exit_code == 0
         doc = json.loads(res.output)
         assert doc["closed"] == pytest.approx(doc["integral"], abs=1e-8)
+        assert 0.0 <= doc["closed_err"] < 1e-8
+        assert "closed_unavailable" not in doc
         assert doc["mc"] == pytest.approx(doc["integral"],
                                           abs=4 * doc["mc_std_error"] + 1e-6)
 

@@ -161,6 +161,17 @@ class TestQuadrature:
         with pytest.raises(InvalidInputError):
             integrate_semi_infinite(lambda x: 0.0, 0.0, max_subdivisions=0)
 
+    def test_fractional_max_subdivisions_rejected(self):
+        with pytest.raises(InvalidInputError):
+            integrate_semi_infinite(lambda x: np.exp(-x), 0.0,
+                                    max_subdivisions=2.5)
+
+    def test_nan_max_subdivisions_rejected(self):
+        # a NaN cap would compare False and switch the cap off
+        with pytest.raises(InvalidInputError):
+            integrate_semi_infinite(lambda x: np.exp(-x), 0.0,
+                                    max_subdivisions=float("nan"))
+
 
 def test_import_does_not_load_scipy():
     # the quadrature, the LP kernel and the GP Newton solves are the
