@@ -144,8 +144,8 @@ def optimize(scenario_path, seed, index, method, tol, max_iter, out_path,
 def sop(rate, scenario_path, method, samples, seed, as_json):
     """Secrecy outage probability when jammers transmit at p_max.
 
-    With --method all, a closed form that cannot run (tied powers, too
-    many terms) is reported as null with the reason."""
+    With --method all, a closed form that cannot run (powers close but
+    not tied, too many terms) is reported as null with the reason."""
     if scenario_path:
         scenario, _ = load_scenario(scenario_path)
     else:

@@ -157,7 +157,7 @@ def _sop_point(sc: SopScenario, cfg: ExperimentConfig, config_label, sweep_value
     try:
         closed = sop_closed_form(sc)
         rows.append((config_label, sweep_value, "closed",
-                     closed.p_out, 0.0, ""))
+                     closed.p_out, closed.error_estimate, ""))
     except (DegeneratePowersError, ResourceLimitError) as exc:
         log.warning("closed form unavailable (%s); integral+mc only", exc)
         flag = "closed_unavailable"

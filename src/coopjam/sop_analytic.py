@@ -10,12 +10,15 @@ The outage probability
     P_out = Pr[secrecy rate < target]
 
 is then a single semi-infinite integral, evaluated by quadrature in
-sop_integral.  It also collapses to exponential-integral terms after a
-binomial expansion of the CDF product and a partial-fraction split
-(the hypoexponential coefficients A_n) of every rational factor; that
-closed form and the printed two-jammer/one-eavesdropper special case
-need pairwise-distinct jammer powers.  The routes cross-check each
-other; the Monte Carlo route lives in sop_mc.
+sop_integral.  It also collapses to exponential-integral terms:
+sop_closed_form expands the CDF product over eavesdropper subsets and
+splits each rational factor into partial fractions over its merged
+poles (pole_integral), so exactly tied powers are accepted there too,
+while distinct poles closer than MIN_RELATIVE_POWER_GAP are rejected.
+The printed two-jammer/one-eavesdropper special case,
+sop_closed_form_n2m1, is spelt independently with the hypoexponential
+coefficients A_n and needs pairwise-distinct jammer powers.  The routes
+cross-check each other; the Monte Carlo route lives in sop_mc.
 """
 
 import itertools
@@ -32,7 +35,15 @@ from .model import Scenario, _integer
 from .numerics import integrate_semi_infinite, scaled_exp_integral_ei
 
 MIN_RELATIVE_POWER_GAP = 1e-6
-_POLE_GAP = 1e-9
+# sop_closed_form's error_estimate is this times the sum of its addends'
+# absolute-value forms.  Each addend comes out of a chain of roundings,
+# about 100 long at N = M = 4, so its error is at most about 100
+# half-ulps of its absolute-value form, and that only if every rounding
+# aligns.  Over 470 settings (N, M <= 5, exact ties, P_n == p_source,
+# rates 0.01 to 3, p_source up to 1000 W) the error against 30-digit
+# quadrature never exceeded 1.8 eps times that sum; 32 eps leaves an
+# 18-fold margin.
+_CLOSED_FORM_ROUNDING = 32 * float(np.finfo(float).eps)
 
 
 def min_relative_gap(powers) -> float:
@@ -66,14 +77,14 @@ class SopScenario:
 
 def coeff_a(powers) -> np.ndarray:
     """Partial-fraction coefficients of the sum of independent
-    exponentials with distinct means: A_n = 1/(P_n prod_{j!=n}(1 - P_j/P_n)).
-    They satisfy sum_n A_n P_n = 1."""
+    exponentials with distinct means,
+    A_n = P_n**(N-2) / prod_{j!=n}(P_n - P_j), formed from exact
+    differences of the powers.  They satisfy sum_n A_n P_n = 1."""
     p = np.asarray(powers, dtype=float)
-    require_distinct(p, _POLE_GAP, "coeff_a")
+    require_distinct(p, MIN_RELATIVE_POWER_GAP, "coeff_a")
     out = np.empty(p.size)
     for n in range(p.size):
-        ratio = np.delete(p, n) / p[n]
-        out[n] = 1.0 / (p[n] * np.prod(1.0 - ratio))
+        out[n] = p[n] ** (p.size - 2) / np.prod(p[n] - np.delete(p, n))
     return out
 
 
@@ -87,9 +98,6 @@ class SopConstants:
     kappa: np.ndarray    # destination-side poles, one per jammer
     lam: np.ndarray      # eavesdropper-side poles p_source / P_n
     a_coeff: np.ndarray
-    psi_subsets: dict
-    """Exponential decay rate for each eavesdropper subset:
-    xi + sum_{j in subset} sigma2_eaves[j] / p_source."""
 
 
 def sop_constants(sc: SopScenario) -> SopConstants:
@@ -106,12 +114,8 @@ def sop_constants(sc: SopScenario) -> SopConstants:
         raise DegeneratePowersError(
             "partial-fraction identity sum A_n P_n = 1 lost to rounding; "
             "jammer powers are too close")
-    psi = {}
-    for size in range(s.n_eavesdroppers + 1):
-        for subset in itertools.combinations(range(s.n_eavesdroppers), size):
-            psi[subset] = xi + sum(s.sigma2_eaves[j] for j in subset) / s.p_source
     return SopConstants(mu=mu, nu=nu, xi=xi, kappa=kappa, lam=lam,
-                        a_coeff=a, psi_subsets=psi)
+                        a_coeff=a)
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +132,14 @@ def _cdf_sinr_max(x, powers, ps, sigma2s):
     evaluated together.
     """
     x = np.asarray(x, dtype=float)
+    # the laws are formed at x >= 0 only, so a negative x, whose value
+    # np.where discards, cannot divide by zero or overflow on the way
+    xs = np.maximum(x, 0.0)
     # L(x); np.multiply.reduce is ndarray.prod without its Python-level
     # wrapper, which is a noticeable share of one quadrature evaluation
-    lap = np.multiply.reduce(ps / (powers * x[..., None] + ps), -1)
+    lap = np.multiply.reduce(ps / (powers * xs[..., None] + ps), -1)
     sigma2s = sigma2s.reshape((-1,) + (1,) * x.ndim)
-    val = np.where(x < 0, 0.0, 1.0 - np.exp(-sigma2s * x / ps) * lap)
+    val = np.where(x < 0, 0.0, 1.0 - np.exp(-sigma2s * xs / ps) * lap)
     return np.multiply.reduce(val)
 
 
@@ -208,18 +215,19 @@ def elementary_integral(i: int, a1: float, c: float) -> float:
     Reduction to the exponential integral; the exp(a1*c)*Ei(-a1*c)
     product is evaluated in fused form so large a1*c cannot overflow.
     """
-    return _elementary_integral(i, a1, c, scaled_exp_integral_ei)
+    return math.fsum(_elementary_addends(i, a1, c, scaled_exp_integral_ei))
 
 
-def _elementary_integral(i, a1, c, ei) -> float:
-    """elementary_integral with ``ei`` standing in for
-    scaled_exp_integral_ei."""
+def _elementary_addends(i, a1, c, ei) -> list:
+    """The addends that sum to elementary_integral(i, a1, c), with ``ei``
+    standing in for scaled_exp_integral_ei."""
     if i < 1 or a1 <= 0 or c <= 0:
         raise InvalidInputError(f"need i >= 1, a1 > 0, c > 0; got {i}, {a1}, {c}")
-    head = sum(factorial(r - 1) * (-a1) ** (i - r - 1) * c ** (-r)
-               for r in range(1, i))
-    tail = (-a1) ** (i - 1) * ei(a1 * c)
-    return (head - tail) / factorial(i - 1)
+    f = factorial(i - 1)
+    out = [factorial(r - 1) * (-a1) ** (i - r - 1) * c ** (-r) / f
+           for r in range(1, i)]
+    out.append(-(-a1) ** (i - 1) * ei(a1 * c) / f)
+    return out
 
 
 def _ei_per_call():
@@ -261,98 +269,84 @@ def _derivatives_of_pole_product(poles, mults, x0: float, order: int):
     return derivs
 
 
-def basic_integral(ell: int, k, a1: float, a2: float, a3) -> float:
-    """int_0^inf exp(-a1 x) (x+a2)**(-ell) prod_t (x+a3_t)**(-k_t) dx.
+def pole_integral(a1: float, poles, mults) -> float:
+    """int_0^inf exp(-a1 x) prod_t (x + poles[t])**(-mults[t]) dx for
+    a1 > 0, positive poles and integer multiplicities >= 0.
 
-    Partial fractions in x reduce everything to elementary_integral
-    calls at the poles -a2 and -a3_t.  Repeated or nearly coincident
-    poles among {a2} U {a3_t with k_t > 0} are rejected: the expansion
-    coefficients diverge there.
+    Partial fractions reduce it to elementary_integral terms.  Bit-equal
+    poles merge into one pole of summed multiplicity, and a pole of
+    multiplicity 0 is absent; distinct poles closer than
+    MIN_RELATIVE_POWER_GAP (relative) raise DegeneratePowersError,
+    because the partial fractions cancel catastrophically there.
     """
-    if ell not in (1, 2):
-        raise InvalidInputError(f"ell must be 1 or 2, got {ell}")
-    k = np.asarray(k, dtype=int)
-    if (k < 0).any():
-        raise InvalidInputError("multiplicities must be >= 0")
-    a3 = np.asarray(a3, dtype=float)
-    if a3.shape != k.shape:
-        raise InvalidInputError("a3 and k length mismatch")
-    k, a3 = k.tolist(), a3.tolist()
-    used = [t for t, kt in enumerate(k) if kt > 0]
-    _check_poles(a2, a3, used)
-    return _basic_integral(ell, k, a1, a2, a3, used, scaled_exp_integral_ei)
+    if len(poles) != len(mults) or any(_integer("multiplicity", m) < 0
+                                       for m in mults):
+        raise InvalidInputError("need one integer multiplicity >= 0 per pole")
+    terms, _ = _pole_terms(a1, poles, mults, scaled_exp_integral_ei)
+    return math.fsum(terms)
 
 
-def _check_poles(a2, a3, used):
-    """Reject coincident poles among a2 and the a3[t] with t in used."""
-    for t in used:
-        if abs(a2 - a3[t]) <= _POLE_GAP * max(1.0, a2, a3[t]):
+def _pole_terms(a1, poles, mults, ei):
+    """The partial-fraction addends that sum to pole_integral, and for
+    each the same product formed from absolute values, which bounds the
+    size of its rounding errors; ``ei`` stands in for
+    scaled_exp_integral_ei."""
+    merged = Counter()
+    for p, m in zip(poles, mults):
+        if m:
+            merged[p] += m
+    nodes = sorted(merged)
+    for lo, hi in zip(nodes, nodes[1:]):
+        if hi - lo < MIN_RELATIVE_POWER_GAP * hi:
             raise DegeneratePowersError(
-                f"poles collide: a2={a2} vs a3[{t}]={a3[t]}")
-    for i, t in itertools.combinations(used, 2):
-        if abs(a3[i] - a3[t]) <= _POLE_GAP * max(1.0, a3[i], a3[t]):
-            raise DegeneratePowersError(
-                f"poles collide: a3[{i}]={a3[i]} vs a3[{t}]={a3[t]}")
-
-
-def _basic_integral(ell, k, a1, a2, a3, used, ei) -> float:
-    """basic_integral on checked poles: ``k`` and ``a3`` are sequences of
-    Python numbers, ``used`` lists the t with k[t] > 0, and ``ei``
-    stands in for scaled_exp_integral_ei."""
-    if not used:
-        return _elementary_integral(ell, a1, a2, ei)
-
-    total = []
-    # coefficients on (x+a2)^-1 .. (x+a2)^-ell
-    zeta = _derivatives_of_pole_product([a3[t] for t in used],
-                                        [k[t] for t in used], -a2, ell - 1)
-    for r in range(ell):
-        coeff = zeta[r] / factorial(r)
-        total.append(coeff * _elementary_integral(ell - r, a1, a2, ei))
-    # coefficients on (x+a3_j)^-1 .. (x+a3_j)^-k_j
-    for j in used:
-        others = [t for t in used if t != j]
-        poles = [a2] + [a3[t] for t in others]
-        mults = [ell] + [k[t] for t in others]
-        theta = _derivatives_of_pole_product(poles, mults, -a3[j], k[j] - 1)
-        for r in range(k[j]):
-            coeff = theta[r] / factorial(r)
-            total.append(coeff * _elementary_integral(k[j] - r, a1, a3[j], ei))
-    return math.fsum(total)
-
-
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of given length summing to total,
-    in ascending lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+                f"poles {lo!r} and {hi!r} are distinct but closer than "
+                f"{MIN_RELATIVE_POWER_GAP:.0e} (relative); their partial "
+                "fractions cancel catastrophically; use sop_integral, which "
+                "accepts any positive powers")
+    terms, sizes = [], []
+    for c in nodes:
+        m = merged[c]
+        others = [q for q in nodes if q != c]
+        om = [merged[q] for q in others]
+        # coefficients on (x+c)^-m .. (x+c)^-1, and their size without the
+        # cancellation between poles on either side of c
+        coef = _derivatives_of_pole_product(others, om, -c, m - 1)
+        size = _derivatives_of_pole_product([abs(q - c) for q in others], om,
+                                            0.0, m - 1)
+        for r in range(m):
+            for e in _elementary_addends(m - r, a1, c, ei):
+                terms.append(coef[r] / factorial(r) * e)
+                sizes.append(abs(size[r] / factorial(r) * e))
+    return terms, sizes
 
 
 def expansion_term_count(n_jammers: int, n_eaves: int) -> int:
-    return sum(comb(n_eaves, i) * comb(i + n_jammers - 1, n_jammers - 1)
-               for i in range(n_eaves + 1))
+    """Bound on sop_closed_form's pole integrals: N + 1 for each group of
+    eavesdropper subsets, and at most 2**M groups."""
+    return (n_jammers + 1) * 2 ** n_eaves
 
 
 def sop_closed_form(sc: SopScenario, max_terms: int = 200_000) -> SopResult:
     """Exact outage probability in exponential-integral terms.
 
-    Expands the eavesdropper CDF product over subsets (inclusion-
-    exclusion signs) and each power of the partial-fraction sum by the
-    multinomial theorem; every piece is then a basic_integral.  All
-    addends are accumulated with exact compensated summation, so the
-    term order cannot affect the result.  The expansion reuses a few
-    exponential-integral arguments t = a1*c thousands of times, so Ei is
-    evaluated once per distinct argument within each call, and subsets
-    of eavesdroppers with equal noise, whose addends coincide, are
-    expanded once.
+    Expands the product form F_emax(x) = prod_m [1 - exp(-sigma2_m x/ps)
+    L(x)] over eavesdropper subsets S (inclusion-exclusion signs); with
+    the destination density at u = mu (x - nu), every piece is a
+    pole_integral over the poles lam_n = ps/P_n (multiplicity |S|) and
+    kappa_n = ps/(mu P_n) - nu (multiplicity 1, or 2 for the kappa_j the
+    density's sum over jammers brings in).  Subsets of equal size and
+    equal noise sum give the same pieces and are expanded once.  Ei is
+    evaluated once per distinct argument within each call, and all
+    addends are summed exactly, so the term order cannot affect the
+    result.
 
-    Barely-distinct powers technically pass validation but make the
-    expansion cancel catastrophically (error ~ max|A_n|**(M+1) * eps);
-    check error_estimate, and prefer sop_integral when powers are close.
+    Tied powers, and a jammer power equal to the source power, give
+    bit-equal poles, which merge.  Powers closer than
+    MIN_RELATIVE_POWER_GAP (relative) but not equal raise
+    DegeneratePowersError.  ``error_estimate`` bounds the rounding of the
+    partial fractions, including their cancellation when a destination
+    pole kappa_n nears an eavesdropper pole lam_j; prefer sop_integral
+    when it is large.
     """
     s = sc.scenario
     n = s.n_jammers
@@ -362,41 +356,36 @@ def sop_closed_form(sc: SopScenario, max_terms: int = 200_000) -> SopResult:
     if expansion_term_count(n, m_eaves) > max_terms:
         raise ResourceLimitError(
             f"closed form needs {expansion_term_count(n, m_eaves)} "
-            f"expansion terms (> {max_terms}); use sop_integral")
-    k = sop_constants(sc)
-    a = k.a_coeff
+            f"pole integrals (> {max_terms}); use sop_integral")
     ps = s.p_source
     sig_d = s.sigma2_dest
-    kappa, lam = k.kappa.tolist(), k.lam.tolist()
+    mu = 2.0 ** sc.rate
+    nu = 2.0 ** (-sc.rate) - 1.0
+    xi = sig_d * mu / ps
+    lam = ps / s.p_max
+    # kappa_n = ps/(mu P_n) - nu, spelt so that P_n == ps gives
+    # kappa_n == lam_n == 1 exactly and the two poles merge
+    kappa = 1.0 + (lam - 1.0) / mu
+    poles = lam.tolist() + kappa.tolist()
+    dest_const = float(np.prod(lam / mu))
     ei = _ei_per_call()
 
-    # Subsets of equal size and equal decay rate psi (eavesdroppers with
-    # equal noise) give identical addends: expand each such group once
-    # and repeat its addends once per subset.
-    groups = Counter((len(subset), psi)
-                     for subset, psi in k.psi_subsets.items())
-    addends = []
+    groups = Counter(
+        (size, xi + sum(s.sigma2_eaves[j] for j in subset) / ps)
+        for size in range(m_eaves + 1)
+        for subset in itertools.combinations(range(m_eaves), size))
+    addends, sizes = [], []
     for (size, psi), count in groups.items():
-        sign = (-1.0) ** size
-        for ks in _compositions(size, n):
-            used = [t for t, kt in enumerate(ks) if kt > 0]
-            multi = factorial(size)
-            for kt in ks:
-                multi //= factorial(kt)
-            weight = sign * ps ** size * multi * float(np.prod(a ** np.array(ks)))
-            for idx in range(n):
-                _check_poles(kappa[idx], lam, used)
-                base = (sig_d * _basic_integral(1, ks, psi, kappa[idx], lam,
-                                                used, ei)
-                        + (ps / k.mu) * _basic_integral(2, ks, psi, kappa[idx],
-                                                        lam, used, ei))
-                addends.extend([weight * (a[idx] / k.mu) * base] * count)
+        const = count * (-1.0) ** size * float(np.prod(lam ** size)) * dest_const
+        # the density's factor sig_d/ps + sum_j (1/mu)/(x + kappa_j)
+        for weight, j in [(sig_d / ps, None)] + [(1.0 / mu, j) for j in range(n)]:
+            mults = [size] * n + [1 + (t == j) for t in range(n)]
+            terms, mags = _pole_terms(psi, poles, mults, ei)
+            addends.extend(const * weight * t for t in terms)
+            sizes.extend(abs(const * weight) * z for z in mags)
     y = math.fsum(addends)
-    scale = k.mu * math.exp(k.xi * k.nu)
-    # fsum is exact, so accuracy is set by the addends themselves; their
-    # rounding scales with their magnitude, which blows up as powers
-    # approach each other (|A_n| large).  Surface that honestly.
-    err = 1e-14 * scale * math.fsum(abs(t) for t in addends)
+    scale = mu * math.exp(xi * nu)
+    err = _CLOSED_FORM_ROUNDING * scale * math.fsum(sizes)
     p_out = min(1.0, max(0.0, 1.0 - scale * y))
     return SopResult(p_out=p_out, method="closed", error_estimate=err)
 

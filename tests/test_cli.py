@@ -27,6 +27,15 @@ def infeasible_file(tmp_path):
 
 
 @pytest.fixture
+def near_tied_file(tmp_path):
+    s = Scenario(n_jammers=2, n_eavesdroppers=1, p_source=2.0,
+                 p_max=[1.0, 1.0 + 1e-9], sigma2_dest=0.1, sigma2_eaves=[0.1])
+    path = tmp_path / "near_tied.json"
+    save_scenario(path, s)
+    return str(path)
+
+
+@pytest.fixture
 def distinct_file(tmp_path):
     s = Scenario(n_jammers=2, n_eavesdroppers=1, p_source=2.0,
                  p_max=[0.8, 2.1], sigma2_dest=0.1, sigma2_eaves=[0.1])
@@ -102,14 +111,24 @@ class TestOptimize:
 
 
 class TestSop:
-    def test_tied_default_powers_fail_without_perturb(self, runner):
-        # the closed form needs distinct powers; the default (1, 1, 3) W
-        # has a tie, and the message points to the routes that take it
+    def test_near_tied_powers_fail(self, runner, near_tied_file):
+        # the closed form rejects powers 1e-9 apart (an exact tie merges);
+        # the message points to the routes that take them
         res = runner.invoke(main, ["sop", "--rate", "0.5",
+                                   "--scenario", near_tied_file,
                                    "--method", "closed"])
         assert res.exit_code == EXIT_FAILURE
         assert "sop_integral" in res.output
         assert "Traceback" not in res.output
+        res = runner.invoke(main, ["sop", "--rate", "0.5", "--method", "all",
+                                   "--scenario", near_tied_file,
+                                   "--samples", "200000", "--json"])
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        assert doc["closed"] is None and "closed_err" not in doc
+        assert "sop_integral" in doc["closed_unavailable"]
+        assert doc["mc"] == pytest.approx(doc["integral"],
+                                          abs=4 * doc["mc_std_error"])
 
     def test_integral_takes_tied_default_powers(self, runner):
         res = runner.invoke(main, ["sop", "--rate", "0.5",
@@ -119,13 +138,16 @@ class TestSop:
         assert doc["integral"] == pytest.approx(0.8642882498, abs=1e-9)
 
     def test_all_methods_on_tied_powers_keep_integral_and_mc(self, runner):
+        # the default (1, 1, 3) W has an exact tie, which the closed form
+        # takes by merging the tied poles
         res = runner.invoke(main, ["sop", "--rate", "1.0", "--method", "all",
                                    "--samples", "1000000", "--json"])
         assert res.exit_code == 0
         doc = json.loads(res.output)
-        assert doc["closed"] is None
-        assert "too close" in doc["closed_unavailable"]
-        assert "closed_err" not in doc
+        assert "closed_unavailable" not in doc
+        assert abs(doc["closed"] - doc["integral"]) <= \
+            doc["closed_err"] + doc["integral_err"]
+        assert doc["closed"] == pytest.approx(doc["integral"], abs=1e-9)
         assert doc["mc"] == pytest.approx(doc["integral"],
                                           abs=4 * doc["mc_std_error"])
 

@@ -87,15 +87,18 @@ class TestOutageRuns:
             assert set(per) == {"closed", "integral", "mc"}
             closed, integral, mc = per["closed"], per["integral"], per["mc"]
             assert closed[3] == pytest.approx(integral[3], abs=1e-8)
+            assert abs(closed[3] - integral[3]) <= closed[4] + integral[4]
+            assert 0.0 < closed[4] < 1e-8
             sigma = max(mc[4], 1e-6)
             assert abs(mc[3] - integral[3]) <= 4 * sigma
             assert closed[5] == "" and mc[5] == ""
 
     def test_sop_point_flags_degenerate_closed_form(self):
-        # a jammer power equal to the source power collides two poles;
-        # the closed row must drop out flagged, not crash the sweep
+        # jammer powers 1e-9 apart put distinct poles too close for the
+        # partial fractions; the closed row must drop out flagged, not
+        # crash the sweep
         s = Scenario(n_jammers=2, n_eavesdroppers=1, p_source=2.0,
-                     p_max=np.array([2.0, 3.0]), sigma2_dest=0.1,
+                     p_max=np.array([2.0, 2.0 + 2e-9]), sigma2_dest=0.1,
                      sigma2_eaves=np.array([0.1]))
         cfg = ExperimentConfig(experiment="sop_vs_rate", seed=0,
                                mc_samples=20_000)
