@@ -4,7 +4,9 @@ quadrature and a small LP solver.
 The exponential integral is implemented here rather than imported so its
 accuracy on the product arguments the outage formulas generate is under
 our control (series in extended precision near zero, continued fraction
-for large arguments).  The quadrature is a globally adaptive
+for large arguments).  It acts on whole arrays, each element taking
+exactly the steps it would take alone, so one call serves every argument
+of a closed-form evaluation.  The quadrature is a globally adaptive
 Gauss-Kronrod rule on QUADPACK's map of the half line; its integrand acts
 elementwise on an ndarray of nodes, so each refinement round costs one
 call rather than one Python callback per node.  The LPs, all tiny and
@@ -26,57 +28,98 @@ _EULER_GAMMA = 0.57721566490153286060651209008240243
 # roughly |x|/ln(10) digits to cancellation, so it runs in longdouble
 # and hands over at |x| = 6 where the fraction is already fast.
 _EI_CUTOVER = 6.0
+# Series terms formed between two applications of its stopping test; at
+# |x| = 6 the series stops near its 42nd term, so one block usually does.
+_SERIES_BLOCK = 48
 
 
-def _ei_series_neg(x: float) -> float:
-    """Ei(x) for small negative x via the power series.
+def _ei_series_neg(x: np.ndarray) -> np.ndarray:
+    """Ei(x) for small negative x via the power series, elementwise over
+    a 1-d array.
 
     Accumulated in longdouble: at x = -6 the leading terms reach ~1e2
-    while the result is ~1e-4, so float64 would lose ~6 digits.
+    while the result is ~1e-4, so float64 would lose ~6 digits.  Each
+    element stops at its own term, as a scalar loop would.  The next
+    _SERIES_BLOCK terms of every element are formed at once, by a
+    cumulative product of the factors x/k and a cumulative sum of the
+    terms over k, which round exactly as the scalar loop's term *= x/k
+    and total += term/k do; the stopping test then runs on the whole
+    block, and converged elements leave the working arrays.
     """
-    xl = np.longdouble(x)
+    xl = np.asarray(x, dtype=np.longdouble)
+    out = np.empty(xl.shape, dtype=np.longdouble)
+    live = np.arange(xl.size)
+    x_live = xl
     term = xl
     total = xl
     k = 1
-    while True:
-        k += 1
-        term *= xl / k
-        inc = term / k
-        total += inc
-        if abs(inc) <= np.abs(total) * np.longdouble(1e-21) or k > 200:
-            break
-    return float(total + np.longdouble(_EULER_GAMMA) + np.log(np.abs(xl)))
+    while live.size:
+        ks = np.arange(k + 1, k + 1 + _SERIES_BLOCK,
+                       dtype=np.longdouble)[:, None]
+        terms = np.empty((_SERIES_BLOCK + 1, live.size), dtype=np.longdouble)
+        terms[0] = term
+        np.divide(x_live, ks, out=terms[1:])
+        np.multiply.accumulate(terms, out=terms)
+        totals = np.empty_like(terms)
+        totals[0] = total
+        np.divide(terms[1:], ks, out=totals[1:])
+        incs = totals[1:].copy()
+        np.add.accumulate(totals, out=totals)
+        done = np.abs(incs) <= np.abs(totals[1:]) * np.longdouble(1e-21)
+        # the term k > 200 is the last one
+        done[max(0, 200 - k):] = True
+        k += _SERIES_BLOCK
+        first = done.argmax(axis=0)
+        stop = done.any(axis=0)
+        out[live[stop]] = totals[1 + first[stop], np.flatnonzero(stop)]
+        keep = ~stop
+        live, x_live = live[keep], x_live[keep]
+        term, total = terms[-1, keep], totals[-1, keep]
+    return (out + np.longdouble(_EULER_GAMMA) + np.log(np.abs(xl))).astype(float)
 
 
-def _e1_cf_scaled(t: float, max_iter: int = 400) -> float:
-    """exp(t) * E1(t) for t > 0 by the modified Lentz continued fraction.
+def _e1_cf_scaled(t: np.ndarray, max_iter: int = 400) -> np.ndarray:
+    """exp(t) * E1(t) for t > 0 by the modified Lentz continued fraction,
+    elementwise over a 1-d array.
 
     E1(t) = exp(-t) * cf with cf = 1/(t+1- 1/(t+3- 4/(t+5- ...))); the
-    scaled form never underflows.
+    scaled form never underflows.  Each element stops at its own
+    convergent, as a scalar loop would: converged elements leave the
+    working arrays.
     """
+    t = np.asarray(t, dtype=float)
     tiny = 1e-300
+    out = np.empty(t.shape)
+    live = np.arange(t.size)
     b = t + 1.0
-    c = 1.0 / tiny
+    c = np.full(t.shape, 1.0 / tiny)
     d = 1.0 / b
-    h = d
-    delta = 0.0
+    h = d.copy()
+    delta = np.zeros(t.shape)
     for i in range(1, max_iter + 1):
         a = -float(i) * float(i)
         b += 2.0
         d = a * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h
-    if abs(delta - 1.0) < 1e-12:
-        return h
-    raise NumericalError(f"exponential-integral fraction stalled at t={t}")
+        done = np.abs(delta - 1.0) < 1e-16
+        if done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            live, b, c, d, h, delta = (live[keep], b[keep], c[keep], d[keep],
+                                       h[keep], delta[keep])
+            if not live.size:
+                return out
+    done = np.abs(delta - 1.0) < 1e-12
+    if not done.all():
+        raise NumericalError(
+            f"exponential-integral fraction stalled at t={t[live[~done][0]]}")
+    out[live] = h
+    return out
 
 
 def exp_integral_ei(x: float) -> float:
@@ -89,27 +132,42 @@ def exp_integral_ei(x: float) -> float:
     if not np.isfinite(x) or x >= 0.0:
         raise DomainError(f"Ei is only evaluated for x < 0, got {x}")
     if x >= -_EI_CUTOVER:
-        return _ei_series_neg(x)
+        return float(_ei_series_neg(np.array([x]))[0])
     t = -x
     if t > 745.0:
         # exp(-t) underflows; the true value is smaller than the
         # smallest subnormal.
         return -0.0
-    return -math.exp(-t) * _e1_cf_scaled(t)
+    return -math.exp(-t) * float(_e1_cf_scaled(np.array([t]))[0])
 
 
-def scaled_exp_integral_ei(t: float) -> float:
+def scaled_exp_integral_ei(t):
     """exp(t) * Ei(-t) for t > 0; stays finite for arbitrarily large t.
 
     This is the combination the closed-form outage terms actually use,
-    fused so exp overflow never occurs.
+    fused so exp overflow never occurs.  ``t`` is a float, which gives a
+    float, or an ndarray, which gives an ndarray of its shape.  Every
+    element takes the same steps as a lone float would, so the two agree
+    bit for bit; any element that is not finite and positive raises
+    DomainError.
     """
-    t = float(t)
-    if not np.isfinite(t) or t <= 0.0:
-        raise DomainError(f"need t > 0, got {t}")
-    if t <= _EI_CUTOVER:
-        return math.exp(t) * _ei_series_neg(-t)
-    return -_e1_cf_scaled(t)
+    if np.ndim(t) == 0:
+        return float(scaled_exp_integral_ei(np.array([t], dtype=float))[0])
+    t = np.asarray(t, dtype=float)
+    bad = ~(np.isfinite(t) & (t > 0.0))
+    if bad.any():
+        raise DomainError(f"need t > 0, got {t[bad].flat[0]}")
+    flat = t.ravel()
+    out = np.empty(flat.shape)
+    near = flat <= _EI_CUTOVER
+    if near.any():
+        # math.exp, not np.exp: the two differ in the last bit on some
+        # arguments, and a float t has always been scaled by math.exp
+        scale = np.array([math.exp(v) for v in flat[near].tolist()])
+        out[near] = scale * _ei_series_neg(-flat[near])
+    if not near.all():
+        out[~near] = -_e1_cf_scaled(flat[~near])
+    return out.reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------

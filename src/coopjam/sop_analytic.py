@@ -13,8 +13,11 @@ is then a single semi-infinite integral, evaluated by quadrature in
 sop_integral.  It also collapses to exponential-integral terms:
 sop_closed_form expands the CDF product over eavesdropper subsets and
 splits each rational factor into partial fractions over its merged
-poles (pole_integral), so exactly tied powers are accepted there too,
-while distinct poles closer than MIN_RELATIVE_POWER_GAP are rejected.
+poles, so exactly tied powers are accepted there too, while distinct
+poles closer than MIN_RELATIVE_POWER_GAP are rejected.  One array
+kernel does that for every pole integral of a call at once, with one
+exponential-integral evaluation over all their arguments; pole_integral
+and elementary_integral are its one-integral cases.
 The printed two-jammer/one-eavesdropper special case,
 sop_closed_form_n2m1, is spelt independently with the hypoexponential
 coefficients A_n and needs pairwise-distinct jammer powers.  The routes
@@ -214,59 +217,102 @@ def elementary_integral(i: int, a1: float, c: float) -> float:
 
     Reduction to the exponential integral; the exp(a1*c)*Ei(-a1*c)
     product is evaluated in fused form so large a1*c cannot overflow.
+    This is pole_integral with the one pole c.
     """
-    return math.fsum(_elementary_addends(i, a1, c, scaled_exp_integral_ei))
-
-
-def _elementary_addends(i, a1, c, ei) -> list:
-    """The addends that sum to elementary_integral(i, a1, c), with ``ei``
-    standing in for scaled_exp_integral_ei."""
     if i < 1 or a1 <= 0 or c <= 0:
         raise InvalidInputError(f"need i >= 1, a1 > 0, c > 0; got {i}, {a1}, {c}")
-    f = factorial(i - 1)
-    out = [factorial(r - 1) * (-a1) ** (i - r - 1) * c ** (-r) / f
-           for r in range(1, i)]
-    out.append(-(-a1) ** (i - 1) * ei(a1 * c) / f)
-    return out
+    _, terms, _ = _pole_integral_addends(np.array([a1], dtype=float),
+                                         np.array([c], dtype=float),
+                                         np.array([[i]]))
+    return math.fsum(terms.tolist())
 
 
-def _ei_per_call():
-    """scaled_exp_integral_ei evaluated once per distinct argument.
+def _merge_poles(poles, mults):
+    """Bit-equal poles merged into nodes of summed multiplicity.
 
-    The table lives only as long as the returned function, i.e. for one
-    closed-form evaluation; nothing is shared across calls.
+    ``poles`` has P entries and ``mults`` is an (I, P) integer array, one
+    row per pole integral.  Returns the sorted distinct poles that some
+    row uses and the (I, U) multiplicity matrix over them.  Distinct
+    nodes closer than MIN_RELATIVE_POWER_GAP (relative) raise
+    DegeneratePowersError, because their partial fractions cancel
+    catastrophically.
     """
-    table = {}
+    used = mults.any(axis=0)
+    nodes, where = np.unique(np.asarray(poles, dtype=float)[used],
+                             return_inverse=True)
+    merged = mults[:, used] @ (where[:, None] == np.arange(nodes.size))
+    close = np.flatnonzero(np.diff(nodes) < MIN_RELATIVE_POWER_GAP * nodes[1:])
+    if close.size:
+        lo, hi = float(nodes[close[0]]), float(nodes[close[0] + 1])
+        raise DegeneratePowersError(
+            f"poles {lo!r} and {hi!r} are distinct but closer than "
+            f"{MIN_RELATIVE_POWER_GAP:.0e} (relative); their partial "
+            "fractions cancel catastrophically; use sop_integral, which "
+            "accepts any positive powers")
+    return nodes, merged
 
-    def ei(t):
-        try:
-            return table[t]
-        except KeyError:
-            value = table[t] = scaled_exp_integral_ei(t)
-            return value
 
-    return ei
-
-
-def _derivatives_of_pole_product(poles, mults, x0: float, order: int):
-    """Value and first ``order`` derivatives at x0 of
-    f(x) = prod_t (x + poles[t])**(-mults[t]).
+def _pole_product_derivatives(diff, others, order: int) -> np.ndarray:
+    """Value and first ``order`` derivatives at x = 0 of
+    f(x) = prod_q (x + diff[..., u, q])**(-others[i, u, q]), for every
+    row i and node u at once; shape (order + 1, ..., I, U).
 
     Uses the logarithmic-derivative recursion: with L = f'/f,
-    f^(r+1) = sum_j C(r,j) L^(j) f^(r-j), and every L^(j)(x0) is an
+    f^(r+1) = sum_j C(r,j) L^(j) f^(r-j), and every L^(j)(0) is an
     elementary power sum.
     """
-    f0 = 1.0
-    for p, m in zip(poles, mults):
-        f0 *= (x0 + p) ** (-m)
-    derivs = [f0]
-    l_derivs = [sum(-m * (-1.0) ** j * factorial(j) / (x0 + p) ** (j + 1)
-                    for p, m in zip(poles, mults))
+    derivs = [np.multiply.reduce(diff ** -others, -1)]
+    l_derivs = [np.add.reduce(-others * (-1.0) ** j * factorial(j)
+                              / diff ** (j + 1), -1)
                 for j in range(order)]
     for r in range(order):
-        nxt = sum(comb(r, j) * l_derivs[j] * derivs[r - j] for j in range(r + 1))
-        derivs.append(nxt)
-    return derivs
+        derivs.append(sum(comb(r, j) * l_derivs[j] * derivs[r - j]
+                          for j in range(r + 1)))
+    return np.array(derivs)
+
+
+def _pole_integral_addends(a1, nodes, mults):
+    """The partial-fraction addends of the pole integrals
+    int_0^inf exp(-a1[i] x) prod_u (x + nodes[u])**(-mults[i, u]) dx,
+    one per row i, as flat arrays (row, addend, size).
+
+    Row i's integral is the exact sum of its addends.  Each size is the
+    same product formed from absolute values, which bounds the size of
+    that addend's rounding errors.  ``nodes`` must be distinct, sorted
+    and positive, ``a1`` positive.  At node c of multiplicity m the
+    partial fraction has the coefficients g^(r)(-c)/r! on
+    (x + c)**-(m - r), r < m, where g is the product over the other
+    nodes.  Each such power integrates to elementary terms, the last of
+    them an exp(a1 c) Ei(-a1 c) term, and scaled_exp_integral_ei runs
+    once, on the distinct a1 c.
+    """
+    top = int(mults.max())
+    # diff[u, q] = c_q - c_u: the other nodes as seen from node u, which
+    # sits at x = 0; node u's own factor has exponent 0.  The sizes come
+    # from the same recursion on |c_q - c_u|, where nothing cancels.
+    diff = nodes - nodes[:, None]
+    np.fill_diagonal(diff, 1.0)
+    others = mults[:, None, :] * (1 - np.eye(nodes.size, dtype=mults.dtype))
+    coef = _pole_product_derivatives(np.stack([diff, np.abs(diff)])[:, None],
+                                     others, top - 1)
+    # one addend per (row i, node u, coefficient r, elementary term p):
+    # (x + c)**-k, k = m - r, integrates to the terms p < k,
+    # (p-1)! (-a1)**(k-p-1) c**-p / (k-1)!, and the Ei term p = k,
+    # -(-a1)**(k-1) exp(a1 c) Ei(-a1 c) / (k-1)!
+    steps = np.arange(top)
+    row, node, r, p = np.nonzero(
+        steps[:, None] + steps + 1 <= mults[:, :, None, None])
+    p += 1
+    k = mults[row, node] - r
+    a, c = a1[row], nodes[node]
+    fact = np.array([float(factorial(j)) for j in range(top)])
+    e = fact[p - 1] * (-a) ** (k - p - 1) * c ** -p
+    last = p == k
+    args, at = np.unique(a[last] * c[last], return_inverse=True)
+    e[last] = -(-a[last]) ** (k[last] - 1) * scaled_exp_integral_ei(args)[at]
+    e /= fact[k - 1]
+    out = coef[r, :, row, node] / fact[r, None] * e[:, None]
+    return row, out[:, 0], np.abs(out[:, 1])
 
 
 def pole_integral(a1: float, poles, mults) -> float:
@@ -282,42 +328,19 @@ def pole_integral(a1: float, poles, mults) -> float:
     if len(poles) != len(mults) or any(_integer("multiplicity", m) < 0
                                        for m in mults):
         raise InvalidInputError("need one integer multiplicity >= 0 per pole")
-    terms, _ = _pole_terms(a1, poles, mults, scaled_exp_integral_ei)
-    return math.fsum(terms)
-
-
-def _pole_terms(a1, poles, mults, ei):
-    """The partial-fraction addends that sum to pole_integral, and for
-    each the same product formed from absolute values, which bounds the
-    size of its rounding errors; ``ei`` stands in for
-    scaled_exp_integral_ei."""
-    merged = Counter()
-    for p, m in zip(poles, mults):
-        if m:
-            merged[p] += m
-    nodes = sorted(merged)
-    for lo, hi in zip(nodes, nodes[1:]):
-        if hi - lo < MIN_RELATIVE_POWER_GAP * hi:
-            raise DegeneratePowersError(
-                f"poles {lo!r} and {hi!r} are distinct but closer than "
-                f"{MIN_RELATIVE_POWER_GAP:.0e} (relative); their partial "
-                "fractions cancel catastrophically; use sop_integral, which "
-                "accepts any positive powers")
-    terms, sizes = [], []
-    for c in nodes:
-        m = merged[c]
-        others = [q for q in nodes if q != c]
-        om = [merged[q] for q in others]
-        # coefficients on (x+c)^-m .. (x+c)^-1, and their size without the
-        # cancellation between poles on either side of c
-        coef = _derivatives_of_pole_product(others, om, -c, m - 1)
-        size = _derivatives_of_pole_product([abs(q - c) for q in others], om,
-                                            0.0, m - 1)
-        for r in range(m):
-            for e in _elementary_addends(m - r, a1, c, ei):
-                terms.append(coef[r] / factorial(r) * e)
-                sizes.append(abs(size[r] / factorial(r) * e))
-    return terms, sizes
+    nodes, merged = _merge_poles(poles, np.array([mults], dtype=int))
+    if not nodes.size:
+        # no pole: the integral of exp(-a1 x)
+        if not a1 > 0:
+            raise InvalidInputError(f"need a1 > 0; got {a1}")
+        return 1.0 / a1
+    if a1 <= 0 or nodes[0] <= 0:
+        raise InvalidInputError(
+            f"need i >= 1, a1 > 0, c > 0; got {int(merged[0, 0])}, {a1}, "
+            f"{float(nodes[0])}")
+    _, terms, _ = _pole_integral_addends(np.array([a1], dtype=float), nodes,
+                                         merged)
+    return math.fsum(terms.tolist())
 
 
 def expansion_term_count(n_jammers: int, n_eaves: int) -> int:
@@ -335,9 +358,12 @@ def sop_closed_form(sc: SopScenario, max_terms: int = 200_000) -> SopResult:
     pole_integral over the poles lam_n = ps/P_n (multiplicity |S|) and
     kappa_n = ps/(mu P_n) - nu (multiplicity 1, or 2 for the kappa_j the
     density's sum over jammers brings in).  Subsets of equal size and
-    equal noise sum give the same pieces and are expanded once.  Ei is
-    evaluated once per distinct argument within each call, and all
-    addends are summed exactly, so the term order cannot affect the
+    equal noise sum give the same pieces and are expanded once.  The
+    poles are merged once per call, every piece is one row of a
+    multiplicity matrix over the merged poles, and the partial fractions
+    of all rows are formed together on arrays.  scaled_exp_integral_ei
+    is called once per call, on the array of distinct arguments, and
+    all addends are summed exactly, so the term order cannot affect the
     result.
 
     Tied powers, and a jammer power equal to the source power, give
@@ -366,26 +392,31 @@ def sop_closed_form(sc: SopScenario, max_terms: int = 200_000) -> SopResult:
     # kappa_n = ps/(mu P_n) - nu, spelt so that P_n == ps gives
     # kappa_n == lam_n == 1 exactly and the two poles merge
     kappa = 1.0 + (lam - 1.0) / mu
-    poles = lam.tolist() + kappa.tolist()
     dest_const = float(np.prod(lam / mu))
-    ei = _ei_per_call()
 
     groups = Counter(
         (size, xi + sum(s.sigma2_eaves[j] for j in subset) / ps)
         for size in range(m_eaves + 1)
         for subset in itertools.combinations(range(m_eaves), size))
-    addends, sizes = [], []
-    for (size, psi), count in groups.items():
-        const = count * (-1.0) ** size * float(np.prod(lam ** size)) * dest_const
-        # the density's factor sig_d/ps + sum_j (1/mu)/(x + kappa_j)
-        for weight, j in [(sig_d / ps, None)] + [(1.0 / mu, j) for j in range(n)]:
-            mults = [size] * n + [1 + (t == j) for t in range(n)]
-            terms, mags = _pole_terms(psi, poles, mults, ei)
-            addends.extend(const * weight * t for t in terms)
-            sizes.extend(abs(const * weight) * z for z in mags)
-    y = math.fsum(addends)
+    sizes = np.array([size for size, _ in groups])
+    const = (np.array(list(groups.values())) * (-1.0) ** sizes
+             * np.multiply.reduce(lam ** sizes[:, None], 1) * dest_const)
+    # one pole integral per group and term of the density's factor
+    # sig_d/ps + sum_j (1/mu)/(x + kappa_j); j = -1 is the constant term
+    j = np.arange(-1, n)
+    weight = np.where(j < 0, sig_d / ps, 1.0 / mu)
+    mults = np.empty((sizes.size, n + 1, 2 * n), dtype=int)
+    mults[..., :n] = sizes[:, None, None]
+    mults[..., n:] = 1 + (np.arange(n) == j[:, None])
+    nodes, merged = _merge_poles(np.concatenate([lam, kappa]),
+                                 mults.reshape(-1, 2 * n))
+    a1 = np.repeat([psi for _, psi in groups], n + 1)
+    row, terms, mags = _pole_integral_addends(a1, nodes, merged)
+    w = (const[:, None] * weight).ravel()
+    y = math.fsum((w[row] * terms).tolist())
     scale = mu * math.exp(xi * nu)
-    err = _CLOSED_FORM_ROUNDING * scale * math.fsum(sizes)
+    err = _CLOSED_FORM_ROUNDING * scale * math.fsum(
+        (np.abs(w[row]) * mags).tolist())
     p_out = min(1.0, max(0.0, 1.0 - scale * y))
     return SopResult(p_out=p_out, method="closed", error_estimate=err)
 

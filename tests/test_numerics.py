@@ -63,10 +63,31 @@ class TestExpIntegral:
     def test_series_and_fraction_agree_on_overlap(self):
         # both branches are accurate on [4, 6]; cross-check them
         from coopjam.numerics import _e1_cf_scaled, _ei_series_neg
-        for t in np.linspace(4.0, 6.0, 21):
-            series = _ei_series_neg(-t)
-            fraction = -np.exp(-t) * _e1_cf_scaled(t)
-            assert series == pytest.approx(fraction, rel=2e-13)
+        t = np.linspace(4.0, 6.0, 21)
+        series = _ei_series_neg(-t)
+        fraction = -np.exp(-t) * _e1_cf_scaled(t)
+        np.testing.assert_allclose(series, fraction, rtol=2e-13, atol=0)
+
+    def test_array_matches_scalar_bit_for_bit(self):
+        # each element of an array takes the steps a lone float takes, on
+        # both sides of the series/fraction cutover at t = 6, whatever
+        # else is in the array
+        t = np.concatenate([np.geomspace(1e-6, 6.0, 40),
+                            [6.0, np.nextafter(6.0, 7.0)],
+                            np.geomspace(6.01, 1e3, 40)])
+        np.random.default_rng(11).shuffle(t)
+        got = scaled_exp_integral_ei(t)
+        assert isinstance(got, np.ndarray) and got.shape == t.shape
+        alone = [scaled_exp_integral_ei(float(v)) for v in t]
+        assert all(type(v) is float for v in alone)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in alone]
+        halves = scaled_exp_integral_ei(t.reshape(2, -1))
+        assert halves.shape == (2, t.size // 2)
+        assert np.array_equal(halves.ravel(), got)
+        assert scaled_exp_integral_ei(np.empty(0)).shape == (0,)
+        for bad in [0.0, -1.0, -np.inf, np.inf, np.nan]:
+            with pytest.raises(DomainError):
+                scaled_exp_integral_ei(np.array([1.0, bad, 7.0]))
 
     def test_derivative_identity(self):
         # d/dx Ei(x) = exp(x)/x

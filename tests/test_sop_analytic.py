@@ -206,10 +206,14 @@ class TestIntegralReductions:
             pole_integral(0.5, (2.0, 1.0, 1.0 + 1e-8), (1, 1, 1))
         assert pole_integral(0.5, (1.0, 1.0), (1, 1)) == \
             pole_integral(0.5, (1.0,), (2,))
+        # with every pole absent the integrand is exp(-a1 x)
+        assert pole_integral(0.5, (1.0, 2.0), (0, 0)) == 2.0
+        assert pole_integral(0.5, (), ()) == 2.0
         # a zero multiplicity hides its pole, collision allowed
         pole_integral(0.5, (1.0, 1.0 + 1e-9, 2.0), (1, 0, 1))
         for bad in [(0.5, (1.0,), (-1,)), (0.5, (1.0, 2.0), (1,)),
-                    (0.5, (1.0,), (1.5,)), (0.0, (1.0,), (1,))]:
+                    (0.5, (1.0,), (1.5,)), (0.0, (1.0,), (1,)),
+                    (0.5, (-1.0, 2.0), (1, 1)), (0.0, (1.0,), (0,))]:
             with pytest.raises(InvalidInputError):
                 pole_integral(*bad)
 
@@ -348,7 +352,10 @@ def ladder(n, ps_db, rate):
 # float.hex of (p_out, error_estimate) for (sop_closed_form, sop_integral).
 # The closed-form halves were recorded when the closed form became one
 # partial-fraction kernel over the merged poles of the product form, after
-# TestIntegralOracle::test_closed_form_within_its_estimate passed on it.
+# TestIntegralOracle::test_closed_form_within_its_estimate passed on it,
+# and the n3m3 and n4m4 ones again when that kernel came to run on
+# arrays, whose sums and powers round differently, after the same test
+# passed on it.
 # The n4m4 closed form sits on the pole-proximity loss (ROADMAP item 4),
 # which its error_estimate now covers: a fix for that loss is expected to
 # move it, and should re-record it.  The integral halves, and PINNED_CDF
@@ -358,9 +365,9 @@ def ladder(n, ps_db, rate):
 PINNED_ROUTES = {
     "n2m1_sweep": (("0x1.29e075c77ab79p-1", "0x1.4626efe9d24e9p-36"),
                    ("0x1.29e075c77a578p-1", "0x1.ce0c78959df61p-40")),
-    "n3m3_unequal_noise": (("0x1.eaa86038e7077p-1", "0x1.5114624401fbbp-29"),
+    "n3m3_unequal_noise": (("0x1.eaa86038e01a0p-1", "0x1.5114624401fbbp-29"),
                            ("0x1.eaa86038dbb6dp-1", "0x1.cc5365bfe8d23p-51")),
-    "n4m4_ladder_0db": (("0x1.fdbe5abbd1a67p-1", "0x1.69a93877585d2p-1"),
+    "n4m4_ladder_0db": (("0x1.fe041b13834d3p-1", "0x1.69a93877585d1p-1"),
                         ("0x1.fdee988147344p-1", "0x1.0750d7d18da3fp-44")),
     "n2m3": (("0x1.d0e86d4cb7d33p-1", "0x1.366890dab9eefp-30"),
              ("0x1.d0e86d4cbbbb1p-1", "0x1.ae18ad10fcd34p-40")),
@@ -399,8 +406,10 @@ class TestPinnedBits:
 
 
 def _sop_oracle(sc: SopScenario, dps: int = 30) -> float:
-    """Outage probability by mpmath quadrature at ``dps`` digits, with
-    the A_n formed in that precision from the scenario's float powers."""
+    """Outage probability by mpmath quadrature at ``dps`` digits of the
+    product form sop_integral integrates, with the Laplace transform
+    L(x) = prod_n p_s / (P_n x + p_s) of the jamming sum, so tied powers
+    and P_n == p_source need nothing special."""
     s = sc.scenario
     with mpmath.workdps(dps):
         p = [mpmath.mpf(v) for v in s.p_max]
@@ -408,17 +417,16 @@ def _sop_oracle(sc: SopScenario, dps: int = 30) -> float:
         sig_e = [mpmath.mpf(v) for v in s.sigma2_eaves]
         mu = mpmath.mpf(2) ** mpmath.mpf(sc.rate)
         nu = 1 / mu - 1
-        ap = [1 / mpmath.fprod(1 - pj / pn for j, pj in enumerate(p) if j != n)
-              for n, pn in enumerate(p)]
+
+        def lap(x):
+            return mpmath.fprod(ps / (pn * x + ps) for pn in p)
 
         def integrand(x):
-            jam = mpmath.fsum(c / (pn * x + ps) for c, pn in zip(ap, p))
-            cdf = mpmath.fprod(1 - ps * mpmath.exp(-se * x / ps) * jam
+            cdf = mpmath.fprod(1 - mpmath.exp(-se * x / ps) * lap(x)
                                for se in sig_e)
             u = mu * (x - nu)
-            pdf = mpmath.exp(-sig_d * u / ps) * mpmath.fsum(
-                c * (sig_d / (pn * u + ps) + ps * pn / (pn * u + ps) ** 2)
-                for c, pn in zip(ap, p))
+            pdf = mpmath.exp(-sig_d * u / ps) * lap(u) * (
+                sig_d / ps + mpmath.fsum(pn / (pn * u + ps) for pn in p))
             return cdf * pdf
 
         edges = [0, 1, 10, 100, 1000, 10000, mpmath.inf]
@@ -429,6 +437,13 @@ ORACLE_SETTINGS = {
     **PINNED_SETTINGS,
     **{f"ladder_n{n}_{db:g}db_rate{rate:g}": functools.partial(ladder, n, db, rate)
        for n in range(1, 5) for db in (0.0, 30.0) for rate in (0.01, 1.0)},
+    # merged poles: two tied jammers; four tied jammers, whose
+    # multiplicity-8 and -5 poles 7% apart cancel to nothing and which
+    # the estimate must flag; kappa_1 == lam_1 == 1 at P_1 == p_source
+    "tied_1_1_3": lambda: sop(n=3, m=2, p=(1.0, 1.0, 3.0), ps=2.0, rate=0.5),
+    "four_at_1.5": lambda: sop(n=4, m=2, p=(1.5,) * 4, ps=2.0, rate=0.5),
+    "jammer_at_source_power": lambda: sop(n=2, m=3, p=(2.0, 3.5), ps=2.0,
+                                          rate=1.0),
 }
 
 
@@ -460,6 +475,40 @@ class TestIntegralOracle:
             closed.error_estimate + quad.error_estimate
 
 
+def _random_outage_setting(rng):
+    """N <= 4 jammers, M <= 3 eavesdroppers, source 0.3 to 100 W and
+    rates 0.01 to 3, with exact ties among the jammer powers in about
+    30% of settings and a jammer at the source power in about 20%."""
+    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    ps = float(10.0 ** rng.uniform(-0.5, 2.0))
+    p = 10.0 ** rng.uniform(-0.7, 0.6, n)
+    if n > 1 and rng.random() < 0.3:
+        p[1:int(rng.integers(2, n + 1))] = p[0]
+    if rng.random() < 0.2:
+        p[int(rng.integers(n))] = ps
+    return sop(n=n, m=m, p=p, ps=ps,
+               rate=float(10.0 ** rng.uniform(-2.0, np.log10(3.0))),
+               sig_d=float(rng.choice([0.05, 0.1, 0.3])),
+               sig_e=rng.choice([0.05, 0.1, 0.3], m))
+
+
+class TestEstimateHonesty:
+    def test_closed_gap_within_estimates(self):
+        # re-checks _CLOSED_FORM_ROUNDING: wherever the closed form and
+        # the quadrature part, their estimates together cover the gap
+        rng = np.random.default_rng(1515)
+        ties = at_source = 0
+        for _ in range(240):
+            sc = _random_outage_setting(rng)
+            p, ps = sc.scenario.p_max, sc.scenario.p_source
+            ties += np.unique(p).size < p.size
+            at_source += bool((p == ps).any())
+            closed, quad = sop_closed_form(sc), sop_integral(sc)
+            assert abs(closed.p_out - quad.p_out) <= \
+                closed.error_estimate + quad.error_estimate, sc
+        assert ties >= 40 and at_source >= 30
+
+
 class TestWorkCounts:
     def count_calls(self, monkeypatch, name):
         seen = []
@@ -475,14 +524,17 @@ class TestWorkCounts:
     def test_one_ei_per_distinct_argument(self, monkeypatch):
         # n = m = 4 with equal noise: N destination poles kappa_n for the
         # empty subset plus those and the N eavesdropper poles lam_n for
-        # each of the M nonempty subset sizes
+        # each of the M nonempty subset sizes, 36 distinct arguments in
+        # one array
         seen = self.count_calls(monkeypatch, "scaled_exp_integral_ei")
         sc = ladder(4, 15.0, 1.0)
         sop_closed_form(sc)
-        assert len(seen) == len(set(seen)) == 36
-        # no table outlives a call: the same call pays the same again
+        assert len(seen) == 1
+        args = seen[0][0].tolist()
+        assert len(args) == len(set(args)) == 36
+        # nothing outlives a call: the same call pays the same again
         sop_closed_form(sc)
-        assert len(seen) == 72 and set(seen[:36]) == set(seen[36:])
+        assert len(seen) == 2 and seen[1][0].tolist() == args
 
     def test_integral_builds_coefficients_once(self, monkeypatch):
         # neither route built on the product form needs the A_n
