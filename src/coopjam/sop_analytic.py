@@ -174,7 +174,7 @@ def cdf_gamma_emax(x, scenario: Scenario):
 # outage by quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SopResult:
     p_out: float
     method: str
@@ -219,7 +219,7 @@ def elementary_integral(i: int, a1: float, c: float) -> float:
     product is evaluated in fused form so large a1*c cannot overflow.
     This is pole_integral with the one pole c.
     """
-    if i < 1 or a1 <= 0 or c <= 0:
+    if _integer("i", i) < 1 or a1 <= 0 or c <= 0:
         raise InvalidInputError(f"need i >= 1, a1 > 0, c > 0; got {i}, {a1}, {c}")
     _, terms, _ = _pole_integral_addends(np.array([a1], dtype=float),
                                          np.array([c], dtype=float),

@@ -172,7 +172,7 @@ class TestIntegralReductions:
         assert val == pytest.approx(want, rel=1e-9)
 
     def test_elementary_validation(self):
-        for bad in [(0, 1.0, 1.0), (1, -1.0, 1.0), (1, 1.0, 0.0)]:
+        for bad in [(0, 1.0, 1.0), (1, -1.0, 1.0), (1, 1.0, 0.0), (1.5, 1.0, 1.0)]:
             with pytest.raises(InvalidInputError):
                 elementary_integral(*bad)
 
