@@ -66,7 +66,7 @@ def _ei_series_neg(x: np.ndarray) -> np.ndarray:
         incs = totals[1:].copy()
         np.add.accumulate(totals, out=totals)
         done = np.abs(incs) <= np.abs(totals[1:]) * np.longdouble(1e-21)
-        # the term k > 200 is the last one
+        # like the scalar loop, stop at the term k = 201 at the latest
         done[max(0, 200 - k):] = True
         k += _SERIES_BLOCK
         first = done.argmax(axis=0)
