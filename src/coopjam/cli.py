@@ -14,7 +14,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import CoopJamError, DegeneratePowersError, ResourceLimitError
+from .errors import (CoopJamError, DegeneratePowersError, NumericalError,
+                     ResourceLimitError)
 from .experiments import (EXPERIMENTS, ExperimentConfig, default_scenario,
                           run_experiment, write_rows)
 from .feasibility import check_positive_secrecy
@@ -145,7 +146,8 @@ def sop(rate, scenario_path, method, samples, seed, as_json):
     """Secrecy outage probability when jammers transmit at p_max.
 
     With --method all, a closed form that cannot run (powers close but
-    not tied, too many terms) is reported as null with the reason."""
+    not tied, too many terms, overflow at a large rate) is reported as
+    null with the reason."""
     if scenario_path:
         scenario, _ = load_scenario(scenario_path)
     else:
@@ -157,7 +159,8 @@ def sop(rate, scenario_path, method, samples, seed, as_json):
         try:
             res = sop_closed_form(sc)
             doc.update(closed=res.p_out, closed_err=res.error_estimate)
-        except (DegeneratePowersError, ResourceLimitError) as exc:
+        except (DegeneratePowersError, NumericalError,
+                ResourceLimitError) as exc:
             if method == "closed":
                 raise
             doc.update(closed=None, closed_unavailable=str(exc))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DegeneratePowersError, InvalidInputError,
-                     ResourceLimitError)
+                     NumericalError, ResourceLimitError)
 from .feasibility import check_positive_secrecy
 from .model import Scenario, sample_channels
 from .power_opt import algorithm_a, algorithm_b, best_jammer_selection
@@ -28,6 +28,9 @@ EXPERIMENTS = ("convergence", "table_ab", "comparison", "sop_vs_rate",
 
 CSV_VERSION = "coopjam csv v1"
 
+# GP rounds allowed to each algorithm_a run
+ASCENT_MAX_ITER = 300
+
 
 @dataclass
 class ExperimentConfig:
@@ -38,7 +41,6 @@ class ExperimentConfig:
     sweep: list = field(default_factory=list)
     n_channel_sets: int = 5
     mc_samples: int = 100_000
-    max_iter: int = 300
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -79,9 +81,10 @@ def write_rows(header, rows, path=None) -> str:
     return text
 
 
-def _feasible_draws(scenario, seed, want, max_tries=None):
-    """First ``want`` fading draws with achievable positive secrecy."""
-    max_tries = max_tries or 100 * want
+def _feasible_draws(scenario, seed, want):
+    """First ``want`` fading draws with achievable positive secrecy,
+    among the first 100 * ``want``."""
+    max_tries = 100 * want
     out = []
     for index in range(max_tries):
         gains = sample_channels(scenario, seed, index=index)
@@ -101,7 +104,7 @@ def run_convergence(cfg: ExperimentConfig):
     rows = []
     for set_id, (index, gains) in enumerate(
             _feasible_draws(s, cfg.seed, cfg.n_channel_sets)):
-        _, _, trace = algorithm_a(s, gains, max_iter=cfg.max_iter)
+        _, _, trace = algorithm_a(s, gains, max_iter=ASCENT_MAX_ITER)
         for it, rate in enumerate(trace.rates):
             rows.append((set_id, index, it, float(rate)))
     return ("channel_set", "draw_index", "iteration", "secrecy_rate"), rows
@@ -113,7 +116,7 @@ def run_table_ab(cfg: ExperimentConfig):
     rows = []
     for set_id, (index, gains) in enumerate(
             _feasible_draws(s, cfg.seed, cfg.n_channel_sets)):
-        pa, ra, _ = algorithm_a(s, gains, max_iter=cfg.max_iter)
+        pa, ra, _ = algorithm_a(s, gains, max_iter=ASCENT_MAX_ITER)
         pb, rb = algorithm_b(s, gains)
         rows.append((set_id, index, "ascent", *map(float, pa.p), float(ra)))
         rows.append((set_id, index, "search", *map(float, pb.p), float(rb)))
@@ -142,7 +145,7 @@ def run_comparison(cfg: ExperimentConfig):
             if not check_positive_secrecy(s, gains).feasible:
                 log.info("set %d budget %g infeasible, skipping", set_id, budget)
                 continue
-            _, ra, _ = algorithm_a(s, gains, max_iter=cfg.max_iter)
+            _, ra, _ = algorithm_a(s, gains, max_iter=ASCENT_MAX_ITER)
             _, rb = best_jammer_selection(s, gains)
             rows.append((set_id, float(budget), "joint", float(ra)))
             rows.append((set_id, float(budget), "best_single", float(rb)))
@@ -158,7 +161,7 @@ def _sop_point(sc: SopScenario, cfg: ExperimentConfig, config_label, sweep_value
         closed = sop_closed_form(sc)
         rows.append((config_label, sweep_value, "closed",
                      closed.p_out, closed.error_estimate, ""))
-    except (DegeneratePowersError, ResourceLimitError) as exc:
+    except (DegeneratePowersError, NumericalError, ResourceLimitError) as exc:
         log.warning("closed form unavailable (%s); integral+mc only", exc)
         flag = "closed_unavailable"
     quad = sop_integral(sc)

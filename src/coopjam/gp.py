@@ -24,7 +24,8 @@ from .errors import (AccuracyError, DomainError, InvalidInputError,
                      NumericalError)
 from .model import ChannelGains, Scenario, _check_dims
 
-DEFAULT_WEIGHT_CLAMP = 1e-14
+# condensation weights below this are clamped to it
+WEIGHT_CLAMP = 1e-14
 
 
 def _logsumexp(v: np.ndarray) -> float:
@@ -130,7 +131,7 @@ class CondensationWeights:
 
 
 def _condense_rows(log_coeffs: np.ndarray, exponents: np.ndarray,
-                   log_x: np.ndarray, clamp: float):
+                   log_x: np.ndarray):
     """Condense each row of a stack of posynomials sharing one exponent
     matrix; a row's absent terms carry log coefficient -inf.
 
@@ -141,9 +142,9 @@ def _condense_rows(log_coeffs: np.ndarray, exponents: np.ndarray,
     alpha = np.exp(logs - logs.max(axis=1, keepdims=True))
     alpha /= alpha.sum(axis=1, keepdims=True)
     present = log_coeffs > -np.inf
-    low = present & (alpha < clamp)
+    low = present & (alpha < WEIGHT_CLAMP)
     if low.any():
-        alpha[low] = clamp
+        alpha[low] = WEIGHT_CLAMP
         alpha /= alpha.sum(axis=1, keepdims=True)
     safe_log_c = np.where(present, log_coeffs, 0.0)
     safe_log_a = np.log(np.where(present, alpha, 1.0))
@@ -151,18 +152,18 @@ def _condense_rows(log_coeffs: np.ndarray, exponents: np.ndarray,
     return log_hat, alpha @ exponents, alpha
 
 
-def condense(g: Posynomial, x_hat, clamp: float = DEFAULT_WEIGHT_CLAMP):
+def condense(g: Posynomial, x_hat):
     """Best monomial lower bound of ``g`` touching it at ``x_hat``.
 
     Weighted AM-GM: with a_k proportional to the term values at x_hat,
     ghat(x) = prod_k (term_k(x)/a_k)**a_k satisfies ghat <= g everywhere
-    and ghat(x_hat) = g(x_hat).  Weights below ``clamp`` are clamped and
-    the vector renormalised, which perturbs tightness by O(clamp) but
-    keeps downstream log-space arithmetic finite.
+    and ghat(x_hat) = g(x_hat).  Weights below WEIGHT_CLAMP are clamped
+    and the vector renormalised, which perturbs tightness by
+    O(WEIGHT_CLAMP) but keeps downstream log-space arithmetic finite.
     """
     x_hat = _positive_point(x_hat, g.n_vars)
     log_hat, e_hat, alpha = _condense_rows(
-        np.log(g.coeffs)[None, :], g.exponent_matrix, np.log(x_hat), clamp)
+        np.log(g.coeffs)[None, :], g.exponent_matrix, np.log(x_hat))
     return (Monomial(coeff=math.exp(log_hat[0]), exponents=e_hat[0]),
             CondensationWeights(alpha=alpha[0]))
 
@@ -255,8 +256,7 @@ def _condensed_arrays(scenario: Scenario, gains: ChannelGains, p: np.ndarray):
     with np.errstate(divide="ignore"):
         log_num = np.log(num)
         log_den = np.log(den)
-    log_hat, e_hat, alpha = _condense_rows(log_den, e, np.log(p),
-                                           DEFAULT_WEIGHT_CLAMP)
+    log_hat, e_hat, alpha = _condense_rows(log_den, e, np.log(p))
     return num, den, log_num, log_hat, e_hat, alpha
 
 
@@ -344,22 +344,20 @@ def default_power_floor(scenario: Scenario) -> float:
     return 1e-8 * float(np.min(scenario.p_max))
 
 
-def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde,
-                         p_floor: float | None = None):
+def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde):
     """GP whose solution improves the secrecy rate from ``p_tilde``.
 
     Variables are (p_1..p_N, t); t upper-bounds every condensed SINR
     ratio, so minimising t maximises the approximate secrecy rate.
     Constraints: one per eavesdropper (its numerator's nonzero terms
     over its condensed denominator and t), then p_i <= p_max[i] and
-    p_floor <= p_i for each jammer.
+    p_floor <= p_i for each jammer, p_floor from default_power_floor.
     ``condensed_ratios`` at the same interior point gives the
     condensation used as views.
     """
     _check_dims(scenario, gains)
     n = scenario.n_jammers
-    if p_floor is None:
-        p_floor = default_power_floor(scenario)
+    p_floor = default_power_floor(scenario)
     p_tilde = np.asarray(p_tilde, dtype=float)
     if p_tilde.shape != (n,):
         raise InvalidInputError(f"expansion point shape {p_tilde.shape} != ({n},)")

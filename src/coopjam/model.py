@@ -6,6 +6,11 @@ power caps ``p_max``, one destination with noise variance ``sigma2_dest``
 and ``n_eavesdroppers`` eavesdroppers with noise variances ``sigma2_eaves``.
 ``ChannelGains`` holds one realisation of the squared channel magnitudes.
 All quantities are linear (watts); dB conversion lives in the CLI only.
+
+The secrecy rate log2((1 + SINR_d) / (1 + max_m SINR_e_m)) is built on
+one kernel, ``_sinrs``, which forms both SINR quotients for one
+allocation or a batch of them.  The public SINR and rate functions here
+and the optimizers' exact scoring all call it.
 """
 
 import json
@@ -136,47 +141,43 @@ def _check_dims(scenario: Scenario, gains: ChannelGains):
             f"({scenario.n_eavesdroppers}, {scenario.n_jammers})")
 
 
+def _sinrs(scenario: Scenario, gains: ChannelGains, p):
+    """SINR_d and the SINR_e vector, the two quotients of the secrecy
+    rate: a float and an (M,) array for one allocation ``p``, a (k,) and
+    a (k, M) array for k allocations given as the rows of ``p``."""
+    gd = scenario.p_source * gains.h_d / (p @ gains.g_d + scenario.sigma2_dest)
+    ge = scenario.p_source * gains.h_e / (p @ gains.g_e.T
+                                          + scenario.sigma2_eaves)
+    return gd, ge
+
+
 def sinr_destination(scenario: Scenario, gains: ChannelGains, p) -> float:
     """Destination SINR: source power over jamming-plus-noise."""
     _check_dims(scenario, gains)
-    pv = _p_vec(p)
-    return scenario.p_source * gains.h_d / (
-        gains.g_d @ pv + scenario.sigma2_dest)
+    return _sinrs(scenario, gains, _p_vec(p))[0]
 
 
 def sinr_eavesdropper(scenario: Scenario, gains: ChannelGains, p, m: int) -> float:
     _check_dims(scenario, gains)
     if not 0 <= m < scenario.n_eavesdroppers:
         raise InvalidInputError(f"eavesdropper index {m} out of range")
-    pv = _p_vec(p)
-    return scenario.p_source * gains.h_e[m] / (
-        gains.g_e[m] @ pv + scenario.sigma2_eaves[m])
-
-
-def max_eaves_sinr(scenario: Scenario, gains: ChannelGains, p) -> float:
-    _check_dims(scenario, gains)
-    pv = _p_vec(p)
-    return float(np.max(scenario.p_source * gains.h_e /
-                        (gains.g_e @ pv + scenario.sigma2_eaves)))
+    return _sinrs(scenario, gains, _p_vec(p))[1][m]
 
 
 def secrecy_rate(scenario: Scenario, gains: ChannelGains, p) -> float:
     """Achievable secrecy rate in bits: capacity gap to the best
     eavesdropper, clamped at zero."""
-    gd = sinr_destination(scenario, gains, p)
-    ge = max_eaves_sinr(scenario, gains, p)
-    return max(0.0, np.log2((1.0 + gd) / (1.0 + ge)))
+    _check_dims(scenario, gains)
+    gd, ge = _sinrs(scenario, gains, _p_vec(p))
+    return max(0.0, np.log2((1.0 + gd) / (1.0 + ge.max())))
 
 
 def secrecy_rate_batch(scenario: Scenario, gains: ChannelGains, pmat) -> np.ndarray:
     """Vectorised secrecy rate for many allocations (rows of ``pmat``)."""
     _check_dims(scenario, gains)
-    pmat = np.atleast_2d(np.asarray(pmat, dtype=float))
-    gd = scenario.p_source * gains.h_d / (
-        pmat @ gains.g_d + scenario.sigma2_dest)
-    ge = (scenario.p_source * gains.h_e[None, :] /
-          (pmat @ gains.g_e.T + scenario.sigma2_eaves[None, :])).max(axis=1)
-    return np.maximum(0.0, np.log2((1.0 + gd) / (1.0 + ge)))
+    gd, ge = _sinrs(scenario, gains,
+                    np.atleast_2d(np.asarray(pmat, dtype=float)))
+    return np.maximum(0.0, np.log2((1.0 + gd) / (1.0 + ge.max(axis=1))))
 
 
 def sample_channels(scenario: Scenario, seed: int, index: int = 0) -> ChannelGains:

@@ -4,7 +4,9 @@ quadrature and a small LP solver.
 The exponential integral is implemented here rather than imported so its
 accuracy on the product arguments the outage formulas generate is under
 our control (series in extended precision near zero, continued fraction
-for large arguments).  It acts on whole arrays, each element taking
+for large arguments).  Only the scaled form exp(t) Ei(-t), t > 0, that
+those formulas use is offered; plain Ei(-t) underflows where the scaled
+form stays finite.  It acts on whole arrays, each element taking
 exactly the steps it would take alone, so one call serves every argument
 of a closed-form evaluation.  The quadrature is a globally adaptive
 Gauss-Kronrod rule on QUADPACK's map of the half line; its integrand acts
@@ -31,6 +33,9 @@ _EI_CUTOVER = 6.0
 # Series terms formed between two applications of its stopping test; at
 # |x| = 6 the series stops near its 42nd term, so one block usually does.
 _SERIES_BLOCK = 48
+# Continued-fraction steps before _e1_cf_scaled gives up; for t > 6 it
+# converges within about 20.
+_CF_MAX_TERMS = 400
 
 
 def _ei_series_neg(x: np.ndarray) -> np.ndarray:
@@ -78,7 +83,7 @@ def _ei_series_neg(x: np.ndarray) -> np.ndarray:
     return (out + np.longdouble(_EULER_GAMMA) + np.log(np.abs(xl))).astype(float)
 
 
-def _e1_cf_scaled(t: np.ndarray, max_iter: int = 400) -> np.ndarray:
+def _e1_cf_scaled(t: np.ndarray) -> np.ndarray:
     """exp(t) * E1(t) for t > 0 by the modified Lentz continued fraction,
     elementwise over a 1-d array.
 
@@ -96,7 +101,7 @@ def _e1_cf_scaled(t: np.ndarray, max_iter: int = 400) -> np.ndarray:
     d = 1.0 / b
     h = d.copy()
     delta = np.zeros(t.shape)
-    for i in range(1, max_iter + 1):
+    for i in range(1, _CF_MAX_TERMS + 1):
         a = -float(i) * float(i)
         b += 2.0
         d = a * d + b
@@ -120,25 +125,6 @@ def _e1_cf_scaled(t: np.ndarray, max_iter: int = 400) -> np.ndarray:
             f"exponential-integral fraction stalled at t={t[live[~done][0]]}")
     out[live] = h
     return out
-
-
-def exp_integral_ei(x: float) -> float:
-    """Exponential integral Ei(x) for strictly negative x.
-
-    Raises DomainError for x >= 0 (the positive branch is never needed
-    here and has a singularity at 0).
-    """
-    x = float(x)
-    if not np.isfinite(x) or x >= 0.0:
-        raise DomainError(f"Ei is only evaluated for x < 0, got {x}")
-    if x >= -_EI_CUTOVER:
-        return float(_ei_series_neg(np.array([x]))[0])
-    t = -x
-    if t > 745.0:
-        # exp(-t) underflows; the true value is smaller than the
-        # smallest subnormal.
-        return -0.0
-    return -math.exp(-t) * float(_e1_cf_scaled(np.array([t]))[0])
 
 
 def scaled_exp_integral_ei(t):

@@ -27,8 +27,8 @@ from .feasibility import check_positive_secrecy
 from .gp import (build_approx_program, condensed_ratios, default_power_floor,
                  gp_solve)
 from .model import (ChannelGains, PowerAllocation, Scenario, _check_dims,
-                    _integer, _p_vec, secrecy_rate, secrecy_rate_batch,
-                    sinr_destination, sinr_eavesdropper)
+                    _integer, _p_vec, _sinrs, secrecy_rate,
+                    secrecy_rate_batch)
 from .numerics import LinearProgram, lp_solve
 
 ZERO_SNAP_FACTOR = 10.0
@@ -54,10 +54,9 @@ class IterationTrace:
 
 
 def max_sinr_ratio(scenario: Scenario, gains: ChannelGains, p) -> float:
-    gd = sinr_destination(scenario, gains, p)
-    worst = max(sinr_eavesdropper(scenario, gains, p, m)
-                for m in range(scenario.n_eavesdroppers))
-    return (1.0 + worst) / (1.0 + gd)
+    _check_dims(scenario, gains)
+    gd, ge = _sinrs(scenario, gains, _p_vec(p))
+    return (1.0 + ge.max()) / (1.0 + gd)
 
 
 def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
@@ -104,8 +103,7 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
         stop_reason = "max_iter"
         for _ in range(max_iter):
             try:
-                problem = build_approx_program(scenario, gains, pv,
-                                               p_floor=p_floor)
+                problem = build_approx_program(scenario, gains, pv)
                 sol = gp_solve(problem)
             except CoopJamError as err:
                 err.trace = IterationTrace(tuple(points), False, "error")
@@ -328,10 +326,8 @@ def algorithm_b(scenario: Scenario, gains: ChannelGains):
     cands = cands[np.argsort(cands @ gains.g_d, kind="stable")]
     # Unclamped log ratio, so a draw without positive secrecy still gets
     # its least-bad allocation.
-    gd = a_src / (scenario.sigma2_dest + cands @ gains.g_d)
-    ge = (scenario.p_source * gains.h_e
-          / (cands @ gains.g_e.T + scenario.sigma2_eaves)).max(axis=1)
-    p_best = cands[int(np.argmax(np.log1p(gd) - np.log1p(ge)))]
+    gd, ge = _sinrs(scenario, gains, cands)
+    p_best = cands[int(np.argmax(np.log1p(gd) - np.log1p(ge.max(axis=1))))]
     return (PowerAllocation(p_best),
             secrecy_rate(scenario, gains, p_best))
 
@@ -431,13 +427,11 @@ def kkt_check(scenario: Scenario, gains: ChannelGains, p_star,
     pv = _p_vec(p_star)
     p_floor = default_power_floor(scenario)
     p_ref = np.clip(pv, p_floor * (1 + 1e-6), scenario.p_max)
-    m_count = scenario.n_eavesdroppers
     ratios = condensed_ratios(scenario, gains, p_ref)
 
     def gamma_exact(p):
-        gd = sinr_destination(scenario, gains, p)
-        return np.array([(1.0 + sinr_eavesdropper(scenario, gains, p, m))
-                         / (1.0 + gd) for m in range(m_count)])
+        gd, ge = _sinrs(scenario, gains, p)
+        return (1.0 + ge) / (1.0 + gd)
 
     def gamma_hat(p):
         return np.array([r.evaluate(p) for r in ratios])

@@ -17,10 +17,12 @@ poles, so exactly tied powers are accepted there too, while distinct
 poles closer than MIN_RELATIVE_POWER_GAP are rejected.  One array
 kernel does that for every pole integral of a call at once, with one
 exponential-integral evaluation over all their arguments; pole_integral
-and elementary_integral are its one-integral cases.
+and elementary_integral are its one-integral cases.  At rates past a
+few hundred bits its addends overflow, and it raises NumericalError.
 The printed two-jammer/one-eavesdropper special case,
-sop_closed_form_n2m1, is spelt independently with the hypoexponential
-coefficients A_n and needs pairwise-distinct jammer powers.  The routes
+sop_closed_form_n2m1, is spelt independently: it forms its own mu, nu,
+xi and poles kappa_n, lam_n, uses the hypoexponential coefficients A_n
+(coeff_a) and needs pairwise-distinct jammer powers.  The routes
 cross-check each other; the Monte Carlo route lives in sop_mc.
 """
 
@@ -33,7 +35,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import (DegeneratePowersError, InvalidInputError,
-                     ResourceLimitError)
+                     NumericalError, ResourceLimitError)
 from .model import Scenario, _integer
 from .numerics import integrate_semi_infinite, scaled_exp_integral_ei
 
@@ -68,14 +70,16 @@ def require_distinct(powers, min_gap: float, context: str):
 @dataclass(frozen=True)
 class SopScenario:
     """Statistical outage setting: jammers always transmit at p_max and
-    the secrecy-rate target is strictly positive."""
+    the secrecy-rate target is strictly positive and below 1024 bits,
+    so that every route's 2**rate is a finite float."""
 
     scenario: Scenario
     rate: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.rate) and self.rate > 0):
-            raise InvalidInputError(f"rate target must be > 0, got {self.rate}")
+        if not 0 < self.rate < 1024:
+            raise InvalidInputError(
+                f"rate target must be > 0 and < 1024, got {self.rate}")
 
 
 def coeff_a(powers) -> np.ndarray:
@@ -89,36 +93,6 @@ def coeff_a(powers) -> np.ndarray:
     for n in range(p.size):
         out[n] = p[n] ** (p.size - 2) / np.prod(p[n] - np.delete(p, n))
     return out
-
-
-@dataclass(frozen=True)
-class SopConstants:
-    """Scalars the outage formulas are written in."""
-
-    mu: float            # 2**rate
-    nu: float            # 2**(-rate) - 1, always <= 0
-    xi: float            # sigma2_dest * mu / p_source
-    kappa: np.ndarray    # destination-side poles, one per jammer
-    lam: np.ndarray      # eavesdropper-side poles p_source / P_n
-    a_coeff: np.ndarray
-
-
-def sop_constants(sc: SopScenario) -> SopConstants:
-    s = sc.scenario
-    require_distinct(s.p_max, MIN_RELATIVE_POWER_GAP, "sop_constants")
-    mu = 2.0 ** sc.rate
-    nu = 2.0 ** (-sc.rate) - 1.0
-    xi = s.sigma2_dest * mu / s.p_source
-    kappa = s.p_source / (mu * s.p_max) - nu
-    lam = s.p_source / s.p_max
-    a = coeff_a(s.p_max)
-    total = float(np.abs(a * s.p_max).sum())
-    if abs(float(a @ s.p_max) - 1.0) > 1e-9 * max(1.0, total):
-        raise DegeneratePowersError(
-            "partial-fraction identity sum A_n P_n = 1 lost to rounding; "
-            "jammer powers are too close")
-    return SopConstants(mu=mu, nu=nu, xi=xi, kappa=kappa, lam=lam,
-                        a_coeff=a)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +346,8 @@ def sop_closed_form(sc: SopScenario, max_terms: int = 200_000) -> SopResult:
     DegeneratePowersError.  ``error_estimate`` bounds the rounding of the
     partial fractions, including their cancellation when a destination
     pole kappa_n nears an eavesdropper pole lam_j; prefer sop_integral
-    when it is large.
+    when it is large.  Where the addends overflow, at rates of a few
+    hundred bits, NumericalError is raised.
     """
     s = sc.scenario
     n = s.n_jammers
@@ -411,13 +386,22 @@ def sop_closed_form(sc: SopScenario, max_terms: int = 200_000) -> SopResult:
     nodes, merged = _merge_poles(np.concatenate([lam, kappa]),
                                  mults.reshape(-1, 2 * n))
     a1 = np.repeat([psi for _, psi in groups], n + 1)
-    row, terms, mags = _pole_integral_addends(a1, nodes, merged)
-    w = (const[:, None] * weight).ravel()
-    y = math.fsum((w[row] * terms).tolist())
-    scale = mu * math.exp(xi * nu)
-    err = _CLOSED_FORM_ROUNDING * scale * math.fsum(
-        (np.abs(w[row]) * mags).tolist())
-    p_out = min(1.0, max(0.0, 1.0 - scale * y))
+    # at large rates the exponential-integral arguments a1 c or the
+    # addends overflow, and the result is NaN
+    y = err = math.nan
+    if math.isfinite(float(a1.max()) * float(nodes[-1])):
+        with np.errstate(over="ignore", invalid="ignore"):
+            row, terms, mags = _pole_integral_addends(a1, nodes, merged)
+            w = (const[:, None] * weight).ravel()[row]
+            addends, sizes = w * terms, np.abs(w) * mags
+        if np.isfinite(addends).all() and np.isfinite(sizes).all():
+            scale = mu * math.exp(xi * nu)
+            y = scale * math.fsum(addends.tolist())
+            err = _CLOSED_FORM_ROUNDING * scale * math.fsum(sizes.tolist())
+    if not (math.isfinite(y) and math.isfinite(err)):
+        raise NumericalError(
+            f"closed form overflowed at rate {sc.rate}; use sop_integral")
+    p_out = min(1.0, max(0.0, 1.0 - y))
     return SopResult(p_out=p_out, method="closed", error_estimate=err)
 
 
@@ -445,29 +429,35 @@ def _i21(a1: float, c: float, d: float) -> float:
 def sop_closed_form_n2m1(sc: SopScenario) -> SopResult:
     """Hand-expanded closed form for exactly two jammers and one
     eavesdropper; an independent spelling of sop_closed_form used to
-    cross-validate the general expansion machinery."""
+    cross-validate the general expansion machinery.  It forms mu, nu,
+    xi, the poles kappa_n = ps/(mu P_n) - nu and lam_n = ps/P_n and the
+    A_n itself, so it shares no constants with the general route."""
     s = sc.scenario
     if s.n_jammers != 2 or s.n_eavesdroppers != 1:
         raise InvalidInputError(
             f"special case needs N=2, M=1; got N={s.n_jammers}, "
             f"M={s.n_eavesdroppers}")
-    k = sop_constants(sc)
-    a = k.a_coeff
+    a = coeff_a(s.p_max)
     ps = s.p_source
     sig_d = s.sigma2_dest
-    psi = k.xi + s.sigma2_eaves[0] / ps
+    mu = 2.0 ** sc.rate
+    nu = 2.0 ** (-sc.rate) - 1.0
+    xi = sig_d * mu / ps
+    kappa = ps / (mu * s.p_max) - nu
+    lam = ps / s.p_max
+    psi = xi + s.sigma2_eaves[0] / ps
     terms = []
     for idx in range(2):
-        kap = k.kappa[idx]
-        base = sig_d * _i10(k.xi, kap) + (ps / k.mu) * _i20(k.xi, kap)
-        sub1 = sig_d * _i11(psi, kap, k.lam[0]) + \
-            (ps / k.mu) * _i21(psi, kap, k.lam[0])
-        sub2 = sig_d * _i11(psi, kap, k.lam[1]) + \
-            (ps / k.mu) * _i21(psi, kap, k.lam[1])
-        terms.append((a[idx] / k.mu)
+        kap = kappa[idx]
+        base = sig_d * _i10(xi, kap) + (ps / mu) * _i20(xi, kap)
+        sub1 = sig_d * _i11(psi, kap, lam[0]) + \
+            (ps / mu) * _i21(psi, kap, lam[0])
+        sub2 = sig_d * _i11(psi, kap, lam[1]) + \
+            (ps / mu) * _i21(psi, kap, lam[1])
+        terms.append((a[idx] / mu)
                      * (base - ps * a[0] * sub1 - ps * a[1] * sub2))
     y = math.fsum(terms)
-    scale = k.mu * math.exp(k.xi * k.nu)
+    scale = mu * math.exp(xi * nu)
     err = 1e-14 * scale * math.fsum(abs(t) for t in terms)
     p_out = min(1.0, max(0.0, 1.0 - scale * y))
     return SopResult(p_out=p_out, method="closed_n2m1", error_estimate=err)

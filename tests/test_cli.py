@@ -174,6 +174,32 @@ class TestSop:
         res = runner.invoke(main, ["sop", "--rate", "-1"])
         assert res.exit_code == EXIT_FAILURE
 
+    def test_rate_past_float_range_is_failure(self, runner):
+        # 2**2000 overflows a float; rejected up front, no traceback
+        for method in ("closed", "integral", "mc"):
+            res = runner.invoke(main, ["sop", "--rate", "2000",
+                                       "--method", method])
+            assert res.exit_code == EXIT_FAILURE
+            assert "1024" in res.output
+            assert "Traceback" not in res.output
+
+    def test_overflowing_closed_form_reported_unavailable(self, runner):
+        # at rate 500 the closed form overflows; --method all reports it
+        # like its other refusals, and the document stays strict JSON
+        res = runner.invoke(main, ["sop", "--rate", "500", "--method", "all",
+                                   "--samples", "1000", "--json"])
+        assert res.exit_code == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(res.output, parse_constant=reject)
+        assert doc["closed"] is None and "closed_err" not in doc
+        assert "sop_integral" in doc["closed_unavailable"]
+        assert doc["integral"] == doc["mc"] == 1.0
+        res = runner.invoke(main, ["sop", "--rate", "500", "--method", "closed"])
+        assert res.exit_code == EXIT_FAILURE
+
 
 class TestExperiment:
     def test_stdout_csv(self, runner):

@@ -108,6 +108,18 @@ class TestOutageRuns:
         assert methods["integral"][5] == "closed_unavailable"
         assert methods["mc"][5] == "closed_unavailable"
 
+    def test_sop_point_flags_overflowing_closed_form(self):
+        # at rate 500 the closed form's addends overflow; the row drops
+        # out flagged instead of reading p_out 0 with a NaN error
+        s = Scenario(n_jammers=3, n_eavesdroppers=2, p_source=2.0,
+                     p_max=np.array([1.0, 1.0, 3.0]), sigma2_dest=0.1,
+                     sigma2_eaves=np.array([0.1, 0.1]))
+        cfg = ExperimentConfig(experiment="sop_vs_rate", seed=0,
+                               mc_samples=20_000)
+        rows = _sop_point(SopScenario(scenario=s, rate=500.0), cfg, "x", 500.0)
+        assert [r[2] for r in rows] == ["integral", "mc"]
+        assert all(r[3] == 1.0 and r[5] == "closed_unavailable" for r in rows)
+
     def test_sop_point_flags_oversized_closed_form(self, monkeypatch):
         # the closed form's own term limit decides; its ResourceLimitError
         # drops the closed row like a pole collision does

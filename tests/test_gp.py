@@ -14,7 +14,7 @@ from coopjam.errors import (AccuracyError, DomainError, InvalidInputError,
 from coopjam.gp import (GpProblem, Monomial, Posynomial, build_approx_program,
                         condense, condensed_ratios, gp_solve,
                         sinr_ratio_parts)
-from coopjam.model import max_eaves_sinr, sinr_destination, sinr_eavesdropper
+from coopjam.model import sinr_destination, sinr_eavesdropper
 
 
 def poly(*terms):

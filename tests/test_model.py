@@ -11,7 +11,7 @@ from coopjam import (ChannelGains, InvalidInputError, PowerAllocation,
                      Scenario, sample_channels, secrecy_rate,
                      sinr_destination, sinr_eavesdropper)
 from coopjam.model import (gains_from_dict, gains_to_dict, load_scenario,
-                           max_eaves_sinr, save_scenario, scenario_from_dict,
+                           save_scenario, scenario_from_dict,
                            scenario_to_dict, secrecy_rate_batch)
 
 

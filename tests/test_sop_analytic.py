@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coopjam.sop_analytic as sop_analytic
-from coopjam import (DegeneratePowersError, InvalidInputError, Scenario,
-                     SopScenario, estimate_sop, sop_closed_form,
-                     sop_closed_form_n2m1, sop_integral)
+from coopjam import (DegeneratePowersError, InvalidInputError,
+                     NumericalError, Scenario, SopScenario, estimate_sop,
+                     sop_closed_form, sop_closed_form_n2m1, sop_integral)
 from coopjam.numerics import integrate_semi_infinite
 from coopjam.sop_analytic import (_pdf_dest, cdf_gamma_d, cdf_gamma_emax,
                                   coeff_a, elementary_integral,
                                   expansion_term_count, min_relative_gap,
-                                  pole_integral, sop_constants)
+                                  pole_integral)
 from tests.conftest import conditioned_sop_scenario
 
 
@@ -63,20 +63,23 @@ class TestCoefficients:
         assert min_relative_gap([1.0, 2.0]) == pytest.approx(0.5)
         assert min_relative_gap([2.0, 1.0, 1.1]) == pytest.approx(0.1 / 1.1)
 
-    def test_constants_shapes_and_signs(self):
-        sc = sop(n=3, m=2, p=(0.8, 1.7, 2.9))
-        k = sop_constants(sc)
-        assert k.mu == pytest.approx(2 ** 0.5)
-        assert k.nu == pytest.approx(2 ** -0.5 - 1) and k.nu < 0
-        assert (k.kappa > 0).all() and (k.lam > 0).all()
-        assert k.a_coeff.shape == k.kappa.shape == k.lam.shape == (3,)
-        assert k.xi == pytest.approx(0.1 * k.mu / 2.0)
-
     def test_rate_must_be_positive(self):
         with pytest.raises(InvalidInputError):
             sop(rate=0.0)
         with pytest.raises(InvalidInputError):
             sop(rate=-1.0)
+
+    def test_rate_must_keep_two_to_the_rate_finite(self):
+        # 2.0 ** 1024 overflows; every route forms 2**rate
+        for rate in (1024.0, 2000.0, np.inf, np.nan):
+            with pytest.raises(InvalidInputError):
+                sop(rate=rate)
+        # just below the limit all three routes run and agree on outage
+        sc = sop(n=3, m=2, p=(1.0, 1.0, 3.0), rate=1023.9)
+        assert sop_integral(sc).p_out == 1.0
+        assert estimate_sop(sc, 1000, 0).p_out == 1.0
+        with pytest.raises(NumericalError):
+            sop_closed_form(sc)
 
 
 class TestSinrLaws:
@@ -247,6 +250,20 @@ class TestOutageRoutes:
             a = sop_closed_form(sc)
             b = sop_closed_form_n2m1(sc)
             assert b.p_out == pytest.approx(a.p_out, abs=1e-12)
+
+    def test_overflow_raises_rather_than_reading_zero(self):
+        # at large rates the addends overflow to NaN, which the [0, 1]
+        # clip used to turn into p_out 0 while the other routes give 1
+        for rate in (400.0, 600.0, 800.0, 1000.0):
+            sc = sop(n=3, m=2, p=(1.0, 1.0, 3.0), rate=rate)
+            with pytest.raises(NumericalError, match="sop_integral"):
+                sop_closed_form(sc)
+            assert sop_integral(sc).p_out == 1.0
+        # noise above the source power: xi = sig_d 2**rate / ps, and so
+        # the exponential-integral arguments, overflow to inf
+        sc = sop(p=(1.0, 2.5), ps=0.05, rate=1023.0)
+        with pytest.raises(NumericalError, match="sop_integral"):
+            sop_closed_form(sc)
 
     def test_special_case_shape_guard(self):
         with pytest.raises(InvalidInputError):
