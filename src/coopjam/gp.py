@@ -6,17 +6,19 @@ posynomial is condensed into a single monomial by the weighted AM-GM
 inequality (evaluated at an expansion point, where the bound is tight),
 turning each SINR-ratio constraint into a valid GP constraint.
 
-Programs are held as dense arrays: every constraint term's log
-coefficient and exponent row, stacked constraint by constraint.  The
-builder forms them for all eavesdroppers at once, and the solver, a
-primal-dual interior-point method in log space, reads them directly.
-``Monomial`` and ``Posynomial`` objects are views for callers that want
-individual terms.
+The condensed ratios exist in one form, dense term rows for all
+eavesdroppers at once (``_condensed_ratio_rows``): the SCA program
+builder appends the t column to them, and ``power_opt.kkt_check``
+evaluates them at stacked points.  Programs are held as dense arrays
+too, every constraint term's log coefficient and exponent row stacked
+constraint by constraint, and the solver, a primal-dual interior-point
+method in log space, reads them directly.  ``Monomial``, ``Posynomial``
+and ``condense`` work on single expressions given term by term.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,8 +72,8 @@ class Monomial:
 class Posynomial:
     """Sum of monomials over a common variable vector.
 
-    Held as its coefficient vector and exponent matrix (one row per
-    term); ``terms`` gives the same terms as ``Monomial`` objects.
+    Keeps its ``terms`` and their coefficient vector and exponent matrix
+    (one row per term).
     """
 
     def __init__(self, terms):
@@ -83,20 +85,7 @@ class Posynomial:
             raise InvalidInputError(f"mixed term widths {widths}")
         self.coeffs = np.array([t.coeff for t in terms])
         self.exponent_matrix = np.vstack([t.exponents for t in terms])
-        self.__dict__["terms"] = terms
-
-    @classmethod
-    def _from_arrays(cls, coeffs: np.ndarray, exponent_matrix: np.ndarray):
-        """View of terms whose arrays the caller has already checked."""
-        g = cls.__new__(cls)
-        g.coeffs = coeffs
-        g.exponent_matrix = exponent_matrix
-        return g
-
-    @cached_property
-    def terms(self) -> tuple:
-        return tuple(Monomial(coeff=float(c), exponents=e)
-                     for c, e in zip(self.coeffs, self.exponent_matrix))
+        self.terms = terms
 
     @property
     def n_vars(self) -> int:
@@ -115,19 +104,6 @@ def _positive_point(x, n_vars: int) -> np.ndarray:
     if not (np.isfinite(x).all() and (x > 0).all()):
         raise DomainError("posynomials are evaluated at strictly positive points")
     return x
-
-
-@dataclass(frozen=True)
-class CondensationWeights:
-    """AM-GM weights, one per term of the condensed posynomial."""
-
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=float)
-        object.__setattr__(self, "alpha", a)
-        if not ((a > 0).all() and abs(a.sum() - 1.0) < 1e-9):
-            raise InvalidInputError("weights must be positive and sum to 1")
 
 
 def _condense_rows(log_coeffs: np.ndarray, exponents: np.ndarray,
@@ -153,7 +129,8 @@ def _condense_rows(log_coeffs: np.ndarray, exponents: np.ndarray,
 
 
 def condense(g: Posynomial, x_hat):
-    """Best monomial lower bound of ``g`` touching it at ``x_hat``.
+    """Best monomial lower bound of ``g`` touching it at ``x_hat``, and
+    its AM-GM weights, one per term of ``g``.
 
     Weighted AM-GM: with a_k proportional to the term values at x_hat,
     ghat(x) = prod_k (term_k(x)/a_k)**a_k satisfies ghat <= g everywhere
@@ -164,8 +141,7 @@ def condense(g: Posynomial, x_hat):
     x_hat = _positive_point(x_hat, g.n_vars)
     log_hat, e_hat, alpha = _condense_rows(
         np.log(g.coeffs)[None, :], g.exponent_matrix, np.log(x_hat))
-    return (Monomial(coeff=math.exp(log_hat[0]), exponents=e_hat[0]),
-            CondensationWeights(alpha=alpha[0]))
+    return Monomial(coeff=math.exp(log_hat[0]), exponents=e_hat[0]), alpha[0]
 
 
 # ---------------------------------------------------------------------------
@@ -209,69 +185,23 @@ def _ratio_coefficients(scenario: Scenario, gains: ChannelGains):
     return num, den
 
 
-def _posynomial_view(coeffs: np.ndarray, exponents: np.ndarray) -> Posynomial:
-    keep = coeffs != 0.0
-    if not keep.any():
-        raise InvalidInputError("posynomial product collapsed to zero")
-    return Posynomial._from_arrays(coeffs[keep], exponents[keep])
+def _condensed_ratio_rows(scenario: Scenario, gains: ChannelGains,
+                          p: np.ndarray):
+    """Every eavesdropper's SINR ratio with its denominator condensed at
+    the positive point ``p``, as term rows.
 
-
-def sinr_ratio_parts(scenario: Scenario, gains: ChannelGains, m: int):
-    """(numerator, denominator) posynomials in the jammer powers whose
-    ratio equals (1 + eavesdropper-m SINR) / (1 + destination SINR).
-
-    Zero-coefficient terms are dropped; terms are ordered by exponent
-    vector, like terms kept apart.
-    """
-    _check_dims(scenario, gains)
-    if not 0 <= m < scenario.n_eavesdroppers:
-        raise InvalidInputError(f"eavesdropper index {m} out of range")
-    e, _ = _product_layout(scenario.n_jammers)
-    num, den = _ratio_coefficients(scenario, gains)
-    return _posynomial_view(num[m], e), _posynomial_view(den[m], e)
-
-
-@dataclass(frozen=True)
-class CondensedRatio:
-    """One eavesdropper's SINR-ratio with the denominator condensed."""
-
-    numerator: Posynomial
-    denominator_hat: Monomial
-    weights: CondensationWeights
-
-    def evaluate(self, p) -> float:
-        return self.numerator.evaluate(p) / self.denominator_hat.evaluate(p)
-
-
-def _condensed_arrays(scenario: Scenario, gains: ChannelGains, p: np.ndarray):
-    """Every eavesdropper's ratio condensed at the positive point ``p``.
-
-    Returns (num, den, log_num, log_hat, e_hat, alpha): the numerator
-    and denominator coefficients, the numerator's logs (-inf where
-    zero), the condensed denominators' log coefficients and exponents,
-    and the condensation weights.
+    Returns log coefficients b (M, K), -inf where a zero gain leaves the
+    numerator term out, and exponents a (M, K, N), K = (N+2)(N+1) in
+    ``_product_layout`` order: condensed ratio m at q is
+    sum_k exp(b[m, k] + a[m, k] @ log q).
     """
     e, _ = _product_layout(scenario.n_jammers)
     num, den = _ratio_coefficients(scenario, gains)
     with np.errstate(divide="ignore"):
         log_num = np.log(num)
         log_den = np.log(den)
-    log_hat, e_hat, alpha = _condense_rows(log_den, e, np.log(p))
-    return num, den, log_num, log_hat, e_hat, alpha
-
-
-def condensed_ratios(scenario: Scenario, gains: ChannelGains, p_tilde):
-    """Condense every eavesdropper's ratio denominator at ``p_tilde``."""
-    _check_dims(scenario, gains)
-    p = _positive_point(p_tilde, scenario.n_jammers)
-    num, den, _, log_hat, e_hat, alpha = _condensed_arrays(scenario, gains, p)
-    e, _ = _product_layout(scenario.n_jammers)
-    return [CondensedRatio(
-        numerator=_posynomial_view(num[m], e),
-        denominator_hat=Monomial(coeff=math.exp(log_hat[m]),
-                                 exponents=e_hat[m]),
-        weights=CondensationWeights(alpha=alpha[m][den[m] != 0.0]))
-        for m in range(scenario.n_eavesdroppers)]
+    log_hat, e_hat, _ = _condense_rows(log_den, e, np.log(p))
+    return log_num - log_hat[:, None], e - e_hat[:, None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -281,42 +211,20 @@ def condensed_ratios(scenario: Scenario, gains: ChannelGains, p_tilde):
 class GpProblem:
     """min objective (monomial) s.t. each posynomial constraint <= 1.
 
-    Stored as the arrays the solver reads: ``log_coeffs`` (T,) and
-    ``exponents`` (T, n) of all constraint terms stacked constraint by
-    constraint, and ``sizes``, each constraint's term count.
-    ``constraints`` gives the same constraints as ``Posynomial`` views.
+    The constraints are the arrays the solver reads: ``log_coeffs`` (T,)
+    and ``exponents`` (T, n) of all constraint terms stacked constraint
+    by constraint, and ``sizes``, each constraint's term count.
     ``warm_start`` must be strictly feasible; the solver starts from it
     directly.
     """
 
-    def __init__(self, objective: Monomial, constraints, warm_start):
-        constraints = tuple(constraints)
+    def __init__(self, objective: Monomial, log_coeffs, exponents, sizes,
+                 warm_start):
         n = objective.n_vars
-        for g in constraints:
-            if g.n_vars != n:
-                raise InvalidInputError("constraint width mismatch")
-        if constraints:
-            log_coeffs = np.concatenate([np.log(g.coeffs) for g in constraints])
-            exponents = np.vstack([g.exponent_matrix for g in constraints])
-        else:
-            log_coeffs, exponents = np.empty(0), np.empty((0, n))
-        sizes = np.array([len(g.coeffs) for g in constraints], dtype=int)
-        self._init(objective, log_coeffs, exponents, sizes, warm_start)
-        self.__dict__["constraints"] = constraints
-
-    @classmethod
-    def from_arrays(cls, objective: Monomial, log_coeffs, exponents, sizes,
-                    warm_start):
-        """Problem from stacked term arrays (see the class docstring)."""
-        problem = cls.__new__(cls)
-        problem._init(objective, np.asarray(log_coeffs, dtype=float),
-                      np.asarray(exponents, dtype=float),
-                      np.asarray(sizes, dtype=int), warm_start)
-        return problem
-
-    def _init(self, objective, log_coeffs, exponents, sizes, warm_start):
-        n = objective.n_vars
-        if (exponents.shape != (log_coeffs.size, n)
+        log_coeffs = np.asarray(log_coeffs, dtype=float)
+        exponents = np.asarray(exponents, dtype=float)
+        sizes = np.asarray(sizes, dtype=int)
+        if (log_coeffs.ndim != 1 or exponents.shape != (log_coeffs.size, n)
                 or (sizes < 1).any() or sizes.sum() != log_coeffs.size):
             raise InvalidInputError("constraint arrays do not match")
         ws = np.asarray(warm_start, dtype=float)
@@ -327,13 +235,6 @@ class GpProblem:
         self.exponents = exponents
         self.sizes = sizes
         self.warm_start = ws
-
-    @cached_property
-    def constraints(self) -> tuple:
-        cuts = np.cumsum(self.sizes)[:-1]
-        return tuple(Posynomial._from_arrays(np.exp(b), a) for b, a in
-                     zip(np.split(self.log_coeffs, cuts),
-                         np.split(self.exponents, cuts)))
 
     @property
     def n_vars(self) -> int:
@@ -352,8 +253,6 @@ def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde):
     Constraints: one per eavesdropper (its numerator's nonzero terms
     over its condensed denominator and t), then p_i <= p_max[i] and
     p_floor <= p_i for each jammer, p_floor from default_power_floor.
-    ``condensed_ratios`` at the same interior point gives the
-    condensation used as views.
     """
     _check_dims(scenario, gains)
     n = scenario.n_jammers
@@ -367,14 +266,10 @@ def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde):
     p_int = np.clip(p_tilde, p_floor * (1 + 1e-6),
                     scenario.p_max * (1 - 1e-9))
 
-    num, _, log_num, log_hat, e_hat, _ = _condensed_arrays(
-        scenario, gains, p_int)
-    e, _ = _product_layout(n)
-    m, k = num.shape
     # ratio rows: numerator term / condensed denominator / t
-    b_ratio = log_num - log_hat[:, None]
-    a_ratio = np.empty((m, k, n + 1))
-    np.subtract(e, e_hat[:, None, :], out=a_ratio[:, :, :n])
+    b_ratio, a_p = _condensed_ratio_rows(scenario, gains, p_int)
+    a_ratio = np.empty(a_p.shape[:2] + (n + 1,))
+    a_ratio[:, :, :n] = a_p
     a_ratio[:, :, n] = -1.0
     # box rows, per jammer: p_i / p_max[i] <= 1, then p_floor / p_i <= 1
     b_box = np.empty(2 * n)
@@ -385,12 +280,12 @@ def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde):
     a_box[1::2, :n] = -np.eye(n)
 
     # t starts just above the worst condensed ratio at p_int
-    ratio = np.exp(b_ratio + a_ratio[:, :, :n] @ np.log(p_int)).sum(axis=1)
+    ratio = np.exp(b_ratio + a_p @ np.log(p_int)).sum(axis=1)
     warm = np.append(p_int, float(ratio.max()) * math.exp(0.1))
     t_col = np.zeros(n + 1)
     t_col[n] = 1.0
-    keep = num != 0.0  # zero-gain terms are left out
-    return GpProblem.from_arrays(
+    keep = b_ratio > -np.inf  # zero-gain terms are left out
+    return GpProblem(
         Monomial(coeff=1.0, exponents=t_col),
         np.concatenate([b_ratio[keep], b_box]),
         np.vstack([a_ratio[keep], a_box]),

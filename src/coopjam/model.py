@@ -134,6 +134,25 @@ def _p_vec(p):
     return np.asarray(p.p if isinstance(p, PowerAllocation) else p, dtype=float)
 
 
+def _allocations(scenario: Scenario, p, batch: bool = False) -> np.ndarray:
+    """``p``, one allocation or with ``batch`` the rows of a matrix, as a
+    float array of N columns; InvalidInputError unless it has that shape
+    and every entry is finite and >= 0."""
+    try:
+        p = _p_vec(p)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"allocation is not numeric: {p!r}") from None
+    if batch:
+        p = np.atleast_2d(p)
+    if p.shape[-1:] != (scenario.n_jammers,) or p.ndim != 1 + batch:
+        raise InvalidInputError(
+            f"allocation shape {p.shape} does not give {scenario.n_jammers} "
+            "jammer powers")
+    if not (np.isfinite(p).all() and (p >= 0).all()):
+        raise InvalidInputError("powers must be finite and >= 0")
+    return p
+
+
 def _check_dims(scenario: Scenario, gains: ChannelGains):
     if gains.g_e.shape != (scenario.n_eavesdroppers, scenario.n_jammers):
         raise InvalidInputError(
@@ -154,29 +173,28 @@ def _sinrs(scenario: Scenario, gains: ChannelGains, p):
 def sinr_destination(scenario: Scenario, gains: ChannelGains, p) -> float:
     """Destination SINR: source power over jamming-plus-noise."""
     _check_dims(scenario, gains)
-    return _sinrs(scenario, gains, _p_vec(p))[0]
+    return _sinrs(scenario, gains, _allocations(scenario, p))[0]
 
 
 def sinr_eavesdropper(scenario: Scenario, gains: ChannelGains, p, m: int) -> float:
     _check_dims(scenario, gains)
-    if not 0 <= m < scenario.n_eavesdroppers:
+    if not 0 <= _integer("m", m) < scenario.n_eavesdroppers:
         raise InvalidInputError(f"eavesdropper index {m} out of range")
-    return _sinrs(scenario, gains, _p_vec(p))[1][m]
+    return _sinrs(scenario, gains, _allocations(scenario, p))[1][m]
 
 
 def secrecy_rate(scenario: Scenario, gains: ChannelGains, p) -> float:
     """Achievable secrecy rate in bits: capacity gap to the best
     eavesdropper, clamped at zero."""
     _check_dims(scenario, gains)
-    gd, ge = _sinrs(scenario, gains, _p_vec(p))
+    gd, ge = _sinrs(scenario, gains, _allocations(scenario, p))
     return max(0.0, np.log2((1.0 + gd) / (1.0 + ge.max())))
 
 
 def secrecy_rate_batch(scenario: Scenario, gains: ChannelGains, pmat) -> np.ndarray:
     """Vectorised secrecy rate for many allocations (rows of ``pmat``)."""
     _check_dims(scenario, gains)
-    gd, ge = _sinrs(scenario, gains,
-                    np.atleast_2d(np.asarray(pmat, dtype=float)))
+    gd, ge = _sinrs(scenario, gains, _allocations(scenario, pmat, batch=True))
     return np.maximum(0.0, np.log2((1.0 + gd) / (1.0 + ge.max(axis=1))))
 
 

@@ -24,10 +24,10 @@ import numpy as np
 
 from .errors import CoopJamError, InvalidInputError, NumericalError
 from .feasibility import check_positive_secrecy
-from .gp import (build_approx_program, condensed_ratios, default_power_floor,
-                 gp_solve)
-from .model import (ChannelGains, PowerAllocation, Scenario, _check_dims,
-                    _integer, _p_vec, _sinrs, secrecy_rate,
+from .gp import (_condensed_ratio_rows, build_approx_program,
+                 default_power_floor, gp_solve)
+from .model import (ChannelGains, PowerAllocation, Scenario, _allocations,
+                    _check_dims, _integer, _p_vec, _sinrs, secrecy_rate,
                     secrecy_rate_batch)
 from .numerics import LinearProgram, lp_solve
 
@@ -424,20 +424,28 @@ def kkt_check(scenario: Scenario, gains: ChannelGains, p_star,
     _check_dims(scenario, gains)
     if _integer("n_probes", n_probes) < 1:
         raise InvalidInputError(f"n_probes must be >= 1, got {n_probes}")
-    pv = _p_vec(p_star)
+    pv = _allocations(scenario, p_star)
     p_floor = default_power_floor(scenario)
     p_ref = np.clip(pv, p_floor * (1 + 1e-6), scenario.p_max)
-    ratios = condensed_ratios(scenario, gains, p_ref)
+    b, a = _condensed_ratio_rows(scenario, gains, p_ref)
 
-    def gamma_exact(p):
-        gd, ge = _sinrs(scenario, gains, p)
-        return (1.0 + ge) / (1.0 + gd)
+    # both ratio forms at the allocations given as the rows of q, (k, M)
+    def gamma_exact(q):
+        gd, ge = _sinrs(scenario, gains, q)
+        return (1.0 + ge) / (1.0 + gd[:, None])
 
-    def gamma_hat(p):
-        return np.array([r.evaluate(p) for r in ratios])
+    def gamma_hat(q):
+        return np.exp(b[:, :, None] + a @ np.log(q).T).sum(axis=1).T
 
-    equality_residual = float(np.max(np.abs(gamma_exact(p_ref)
-                                            - gamma_hat(p_ref))))
+    def nudged(coords, h):
+        """Copies of p_ref, row r with coordinate coords[r] moved by h[r]."""
+        q = np.tile(p_ref, (coords.size, 1))
+        q[np.arange(coords.size), coords] += h
+        return q
+
+    ref = p_ref[None, :]
+    equality_residual = float(np.max(np.abs(gamma_exact(ref)
+                                            - gamma_hat(ref))))
 
     active = pv > ZERO_SNAP_FACTOR * p_floor
     # Tangency of gradients is checkable by finite differences only well
@@ -446,21 +454,17 @@ def kkt_check(scenario: Scenario, gains: ChannelGains, p_star,
     # rather than the first-order match.  Such coordinates are
     # boundary-like and are covered by the one-sided slope test instead.
     interior = active & (p_ref >= 1e-3 * scenario.p_max)
-    gradient_residual = 0.0
-    for i in np.flatnonzero(interior):
-        h = 1e-6 * max(p_ref[i], 1e-2 * scenario.p_max[i])
-        up, dn = p_ref.copy(), p_ref.copy()
-        up[i] += h
-        dn[i] -= h
-        d_exact = (gamma_exact(up) - gamma_exact(dn)) / (2 * h)
-        d_hat = (gamma_hat(up) - gamma_hat(dn)) / (2 * h)
-        gradient_residual = max(gradient_residual,
-                                float(np.max(np.abs(d_exact - d_hat))))
+    inside = np.flatnonzero(interior)
+    h = 1e-6 * np.maximum(p_ref[inside], 1e-2 * scenario.p_max[inside])
+    up, dn = nudged(inside, h), nudged(inside, -h)
+    d_exact = (gamma_exact(up) - gamma_exact(dn)) / (2 * h[:, None])
+    d_hat = (gamma_hat(up) - gamma_hat(dn)) / (2 * h[:, None])
+    gradient_residual = float(np.max(np.abs(d_exact - d_hat), initial=0.0))
 
     rng = np.random.default_rng(seed)
     lo = np.full(scenario.n_jammers, p_floor)
     probes = rng.uniform(lo, scenario.p_max, size=(n_probes, scenario.n_jammers))
-    gaps = np.array([gamma_hat(q) - gamma_exact(q) for q in probes])
+    gaps = gamma_hat(probes) - gamma_exact(probes)
     # The condensation upper-bounds the ratio objective, so gaps stay
     # (numerically) nonnegative.
     bound_gap_max = float(gaps.max())
@@ -469,14 +473,10 @@ def kkt_check(scenario: Scenario, gains: ChannelGains, p_star,
     boundary_derivative_min = None
     inactive = np.flatnonzero(~interior)
     if inactive.size:
-        tau0 = float(np.max(gamma_exact(p_ref)))
-        slopes = []
-        for i in inactive:
-            h = 1e-6 * max(p_floor, 1e-3 * scenario.p_max[i])
-            up = p_ref.copy()
-            up[i] += h
-            slopes.append((float(np.max(gamma_exact(up))) - tau0) / h)
-        boundary_derivative_min = min(slopes)
+        tau0 = float(np.max(gamma_exact(ref)))
+        h = 1e-6 * np.maximum(p_floor, 1e-3 * scenario.p_max[inactive])
+        slopes = (gamma_exact(nudged(inactive, h)).max(axis=1) - tau0) / h
+        boundary_derivative_min = float(slopes.min())
 
     return KktReport(equality_residual=equality_residual,
                      gradient_residual=gradient_residual,

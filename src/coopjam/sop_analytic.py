@@ -18,7 +18,8 @@ poles closer than MIN_RELATIVE_POWER_GAP are rejected.  One array
 kernel does that for every pole integral of a call at once, with one
 exponential-integral evaluation over all their arguments; pole_integral
 and elementary_integral are its one-integral cases.  At rates past a
-few hundred bits its addends overflow, and it raises NumericalError.
+few hundred bits, or source powers near 1e+-300, its constants or addends
+overflow, and it raises NumericalError.
 The printed two-jammer/one-eavesdropper special case,
 sop_closed_form_n2m1, is spelt independently: it forms its own mu, nu,
 xi and poles kappa_n, lam_n, uses the hypoexponential coefficients A_n
@@ -40,6 +41,10 @@ from .model import Scenario, _integer
 from .numerics import integrate_semi_infinite, scaled_exp_integral_ei
 
 MIN_RELATIVE_POWER_GAP = 1e-6
+# sop_closed_form raises ResourceLimitError past this many pole integrals
+MAX_CLOSED_FORM_TERMS = 200_000
+# relative tolerance of sop_integral's quadrature
+INTEGRAL_REL_TOL = 1e-10
 # sop_closed_form's error_estimate is this times the sum of its addends'
 # absolute-value forms.  Each addend comes out of a chain of roundings,
 # about 100 long at N = M = 4, so its error is at most about 100
@@ -155,15 +160,15 @@ class SopResult:
     error_estimate: float
 
 
-def sop_integral(sc: SopScenario, rel_tol: float = 1e-10) -> SopResult:
+def sop_integral(sc: SopScenario) -> SopResult:
     """Outage probability by integrating the unexpanded product form.
 
     P_no_outage = mu * int_0^inf F_emax(x) f_d(mu*(x - nu)) dx with
     mu = 2**rate and nu = 2**(-rate) - 1.  Both laws are evaluated in
     product form, without partial fractions, so any positive jammer
     powers are accepted, tied ones included, and the integrand is as
-    accurate at a tie as away from one.  ``rel_tol`` must be finite and
-    positive.
+    accurate at a tie as away from one.  The quadrature runs to relative
+    tolerance INTEGRAL_REL_TOL.
 
     ``error_estimate`` is mu times the quadrature's error estimate.
     """
@@ -176,7 +181,12 @@ def sop_integral(sc: SopScenario, rel_tol: float = 1e-10) -> SopResult:
         return (_cdf_sinr_max(x, p, ps, sig_e)
                 * _pdf_dest(mu * (x - nu), p, ps, sig_d))
 
-    quad = integrate_semi_infinite(integrand, 0.0, rel_tol=rel_tol)
+    # near rate 1024 the destination density's u = mu (x - nu)
+    # overflows to inf, where the density is 0; an integrand that
+    # overflows to inf or NaN raises NumericalError inside the quadrature
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = integrate_semi_infinite(integrand, 0.0,
+                                       rel_tol=INTEGRAL_REL_TOL)
     p_out = min(1.0, max(0.0, 1.0 - mu * quad.value))
     return SopResult(p_out=p_out, method="integral",
                      error_estimate=mu * quad.abs_error_estimate)
@@ -323,7 +333,7 @@ def expansion_term_count(n_jammers: int, n_eaves: int) -> int:
     return (n_jammers + 1) * 2 ** n_eaves
 
 
-def sop_closed_form(sc: SopScenario, max_terms: int = 200_000) -> SopResult:
+def sop_closed_form(sc: SopScenario) -> SopResult:
     """Exact outage probability in exponential-integral terms.
 
     Expands the product form F_emax(x) = prod_m [1 - exp(-sigma2_m x/ps)
@@ -346,61 +356,63 @@ def sop_closed_form(sc: SopScenario, max_terms: int = 200_000) -> SopResult:
     DegeneratePowersError.  ``error_estimate`` bounds the rounding of the
     partial fractions, including their cancellation when a destination
     pole kappa_n nears an eavesdropper pole lam_j; prefer sop_integral
-    when it is large.  Where the addends overflow, at rates of a few
-    hundred bits, NumericalError is raised.
+    when it is large.  Where the constants or addends overflow, at rates
+    of a few hundred bits or source powers near 1e+-300, NumericalError
+    is raised, and past MAX_CLOSED_FORM_TERMS pole integrals
+    ResourceLimitError.
     """
     s = sc.scenario
     n = s.n_jammers
     m_eaves = s.n_eavesdroppers
-    if _integer("max_terms", max_terms) < 1:
-        raise InvalidInputError("max_terms must be at least 1")
-    if expansion_term_count(n, m_eaves) > max_terms:
+    if expansion_term_count(n, m_eaves) > MAX_CLOSED_FORM_TERMS:
         raise ResourceLimitError(
             f"closed form needs {expansion_term_count(n, m_eaves)} "
-            f"pole integrals (> {max_terms}); use sop_integral")
+            f"pole integrals (> {MAX_CLOSED_FORM_TERMS}); use sop_integral")
     ps = s.p_source
     sig_d = s.sigma2_dest
     mu = 2.0 ** sc.rate
     nu = 2.0 ** (-sc.rate) - 1.0
     xi = sig_d * mu / ps
-    lam = ps / s.p_max
-    # kappa_n = ps/(mu P_n) - nu, spelt so that P_n == ps gives
-    # kappa_n == lam_n == 1 exactly and the two poles merge
-    kappa = 1.0 + (lam - 1.0) / mu
-    dest_const = float(np.prod(lam / mu))
-
-    groups = Counter(
-        (size, xi + sum(s.sigma2_eaves[j] for j in subset) / ps)
-        for size in range(m_eaves + 1)
-        for subset in itertools.combinations(range(m_eaves), size))
-    sizes = np.array([size for size, _ in groups])
-    const = (np.array(list(groups.values())) * (-1.0) ** sizes
-             * np.multiply.reduce(lam ** sizes[:, None], 1) * dest_const)
-    # one pole integral per group and term of the density's factor
-    # sig_d/ps + sum_j (1/mu)/(x + kappa_j); j = -1 is the constant term
-    j = np.arange(-1, n)
-    weight = np.where(j < 0, sig_d / ps, 1.0 / mu)
-    mults = np.empty((sizes.size, n + 1, 2 * n), dtype=int)
-    mults[..., :n] = sizes[:, None, None]
-    mults[..., n:] = 1 + (np.arange(n) == j[:, None])
-    nodes, merged = _merge_poles(np.concatenate([lam, kappa]),
-                                 mults.reshape(-1, 2 * n))
-    a1 = np.repeat([psi for _, psi in groups], n + 1)
-    # at large rates the exponential-integral arguments a1 c or the
-    # addends overflow, and the result is NaN
+    # at extreme rates or powers the poles, the constants, the
+    # exponential-integral arguments a1 c or the addends overflow, and
+    # the result is NaN; that raises NumericalError below
     y = err = math.nan
-    if math.isfinite(float(a1.max()) * float(nodes[-1])):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lam = ps / s.p_max
+        # kappa_n = ps/(mu P_n) - nu, spelt so that P_n == ps gives
+        # kappa_n == lam_n == 1 exactly and the two poles merge
+        kappa = 1.0 + (lam - 1.0) / mu
+        dest_const = float(np.prod(lam / mu))
+        groups = Counter(
+            (size, xi + sum(s.sigma2_eaves[j] for j in subset) / ps)
+            for size in range(m_eaves + 1)
+            for subset in itertools.combinations(range(m_eaves), size))
+        sizes = np.array([size for size, _ in groups])
+        const = (np.array(list(groups.values())) * (-1.0) ** sizes
+                 * np.multiply.reduce(lam ** sizes[:, None], 1) * dest_const)
+        # one pole integral per group and term of the density's factor
+        # sig_d/ps + sum_j (1/mu)/(x + kappa_j); j = -1 is the constant term
+        j = np.arange(-1, n)
+        weight = np.where(j < 0, sig_d / ps, 1.0 / mu)
+        mults = np.empty((sizes.size, n + 1, 2 * n), dtype=int)
+        mults[..., :n] = sizes[:, None, None]
+        mults[..., n:] = 1 + (np.arange(n) == j[:, None])
+        nodes, merged = _merge_poles(np.concatenate([lam, kappa]),
+                                     mults.reshape(-1, 2 * n))
+        a1 = np.repeat([psi for _, psi in groups], n + 1)
+        if math.isfinite(float(a1.max()) * float(nodes[-1])):
             row, terms, mags = _pole_integral_addends(a1, nodes, merged)
             w = (const[:, None] * weight).ravel()[row]
             addends, sizes = w * terms, np.abs(w) * mags
-        if np.isfinite(addends).all() and np.isfinite(sizes).all():
-            scale = mu * math.exp(xi * nu)
-            y = scale * math.fsum(addends.tolist())
-            err = _CLOSED_FORM_ROUNDING * scale * math.fsum(sizes.tolist())
+            if np.isfinite(addends).all() and np.isfinite(sizes).all():
+                scale = mu * math.exp(xi * nu)
+                y = scale * math.fsum(addends.tolist())
+                err = (_CLOSED_FORM_ROUNDING * scale
+                       * math.fsum(sizes.tolist()))
     if not (math.isfinite(y) and math.isfinite(err)):
         raise NumericalError(
-            f"closed form overflowed at rate {sc.rate}; use sop_integral")
+            f"closed form overflowed at rate {sc.rate}, p_source {ps}; "
+            "use sop_integral")
     p_out = min(1.0, max(0.0, 1.0 - y))
     return SopResult(p_out=p_out, method="closed", error_estimate=err)
 

@@ -130,7 +130,7 @@ def test_criterion_04_condensation_bound():
         g = Posynomial(terms)
         x_hat = rng.lognormal(0.0, 1.0, nv)
         mono, w = condense(g, x_hat)
-        worst_wsum = max(worst_wsum, abs(float(w.alpha.sum()) - 1.0))
+        worst_wsum = max(worst_wsum, abs(float(w.sum()) - 1.0))
         gx = g.evaluate(x_hat)
         worst_eq = max(worst_eq, abs(mono.evaluate(x_hat) - gx) / gx)
         for x in x_hat * rng.lognormal(0.0, 0.8, (20, nv)):

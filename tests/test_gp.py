@@ -11,15 +11,33 @@ from hypothesis import strategies as st
 from coopjam import sample_channels
 from coopjam.errors import (AccuracyError, DomainError, InvalidInputError,
                             NumericalError)
-from coopjam.gp import (GpProblem, Monomial, Posynomial, build_approx_program,
-                        condense, condensed_ratios, gp_solve,
-                        sinr_ratio_parts)
+from coopjam.gp import (GpProblem, Monomial, Posynomial, _condensed_ratio_rows,
+                        _product_layout, _ratio_coefficients,
+                        build_approx_program, condense, gp_solve)
 from coopjam.model import sinr_destination, sinr_eavesdropper
 
 
 def poly(*terms):
     return Posynomial(terms=tuple(
         Monomial(coeff=c, exponents=np.asarray(e, float)) for c, e in terms))
+
+
+def condensed(rows, p):
+    """Every condensed ratio at the positive point ``p``, from the rows
+    ``_condensed_ratio_rows`` returns."""
+    b, a = rows
+    return np.exp(b + a @ np.log(p)).sum(axis=1)
+
+
+def constraint_values(prob, x):
+    """Each constraint posynomial of ``prob`` at the positive point ``x``."""
+    terms = np.exp(prob.log_coeffs + prob.exponents @ np.log(x))
+    return np.add.reduceat(terms, np.cumsum(prob.sizes) - prob.sizes)
+
+
+def capacity_ratio(s, g, p, m):
+    return ((1 + sinr_eavesdropper(s, g, p, m))
+            / (1 + sinr_destination(s, g, p)))
 
 
 class TestAlgebra:
@@ -55,39 +73,43 @@ class TestAlgebra:
 class TestRatioParts:
     def test_term_count_all_positive_gains(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=1)
+        n = scenario3x2.n_jammers
+        e, _ = _product_layout(n)
+        num, den = _ratio_coefficients(scenario3x2, g)
+        assert e.shape == ((n + 2) * (n + 1), n)
         for m in range(2):
-            num, den = sinr_ratio_parts(scenario3x2, g, m)
-            n = scenario3x2.n_jammers
-            assert len(num.terms) == (n + 2) * (n + 1)
-            assert len(den.terms) == (n + 2) * (n + 1)
+            assert np.count_nonzero(num[m]) == (n + 2) * (n + 1)
+            assert np.count_nonzero(den[m]) == (n + 2) * (n + 1)
 
     def test_zero_gains_drop_terms(self, scenario3x2):
         from coopjam import ChannelGains
         g = ChannelGains(h_d=1.0, h_e=[1.0, 1.0], g_d=[0.5, 0.0, 0.5],
                          g_e=[[0.4, 0.4, 0.0], [0.4, 0.4, 0.4]])
-        num0, den0 = sinr_ratio_parts(scenario3x2, g, 0)
-        num1, den1 = sinr_ratio_parts(scenario3x2, g, 1)
-        assert len(num0.terms) < len(num1.terms)
-        assert all(t.coeff > 0 for t in num0.terms + den0.terms)
+        num, den = _ratio_coefficients(scenario3x2, g)
+        assert np.count_nonzero(num[0]) < np.count_nonzero(num[1])
+        assert (num >= 0).all() and (den >= 0).all()
+        # a zero-gain numerator term is left out of the condensed rows
+        b, _ = _condensed_ratio_rows(scenario3x2, g, scenario3x2.p_max / 2)
+        np.testing.assert_array_equal(b == -np.inf, num == 0.0)
+        assert np.isfinite(b[num > 0]).all()
 
     def test_terms_sorted_by_exponent(self, scenario3x2):
-        g = sample_channels(scenario3x2, seed=2)
-        num, den = sinr_ratio_parts(scenario3x2, g, 0)
-        for p in (num, den):
-            keys = [tuple(t.exponents) for t in p.terms]
-            assert keys == sorted(keys)
+        e, _ = _product_layout(scenario3x2.n_jammers)
+        keys = [tuple(row) for row in e]
+        assert keys == sorted(keys)
 
     def test_ratio_equals_capacity_ratio(self, scenario3x2):
         rng = np.random.default_rng(7)
         g = sample_channels(scenario3x2, seed=3)
+        e, _ = _product_layout(scenario3x2.n_jammers)
+        num, den = _ratio_coefficients(scenario3x2, g)
         for m in range(2):
-            num, den = sinr_ratio_parts(scenario3x2, g, m)
             for _ in range(10):
                 p = rng.uniform(0.01, 1.0, size=3) * scenario3x2.p_max
-                want = ((1 + sinr_eavesdropper(scenario3x2, g, p, m)) /
-                        (1 + sinr_destination(scenario3x2, g, p)))
-                assert num.evaluate(p) / den.evaluate(p) == \
-                    pytest.approx(want, rel=1e-12)
+                powers = np.prod(p ** e, axis=1)
+                got = (num[m] @ powers) / (den[m] @ powers)
+                assert got == pytest.approx(
+                    capacity_ratio(scenario3x2, g, p, m), rel=1e-12)
 
 
 class TestCondense:
@@ -97,19 +119,19 @@ class TestCondense:
         ghat, w = condense(g, x_hat)
         assert ghat.evaluate(x_hat) == pytest.approx(g.evaluate(x_hat),
                                                      rel=1e-12)
-        assert w.alpha.sum() == pytest.approx(1.0, abs=1e-12)
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_weights_proportional_to_term_values(self):
         g = poly((1.0, [1]), (4.0, [0]))
         ghat, w = condense(g, np.array([2.0]))
         # term values at x=2: 2 and 4 -> weights 1/3 and 2/3
-        np.testing.assert_allclose(w.alpha, [1 / 3, 2 / 3], rtol=1e-12)
+        np.testing.assert_allclose(w, [1 / 3, 2 / 3], rtol=1e-12)
 
     def test_clamped_weights_stay_normalised(self):
         g = poly((1.0, [1]), (1e-30, [0]))
         ghat, w = condense(g, np.array([1.0]))
-        assert (w.alpha >= 1e-14 * (1 - 1e-9)).all()
-        assert w.alpha.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (w >= 1e-14 * (1 - 1e-9)).all()
+        assert w.sum() == pytest.approx(1.0, abs=1e-12)
         # tightness degrades only by O(clamp)
         assert ghat.evaluate([1.0]) == pytest.approx(g.evaluate([1.0]),
                                                      rel=1e-10)
@@ -134,16 +156,15 @@ class TestCondense:
         g = sample_channels(scenario3x2, seed=4)
         p_hat = scenario3x2.p_max / 2
         rng = np.random.default_rng(11)
-        ratios = condensed_ratios(scenario3x2, g, p_hat)
-        for m, r in enumerate(ratios):
-            true_hat = ((1 + sinr_eavesdropper(scenario3x2, g, p_hat, m)) /
-                        (1 + sinr_destination(scenario3x2, g, p_hat)))
-            assert r.evaluate(p_hat) == pytest.approx(true_hat, rel=1e-10)
+        rows = _condensed_ratio_rows(scenario3x2, g, p_hat)
+        at_hat = condensed(rows, p_hat)
+        for m in range(2):
+            true_hat = capacity_ratio(scenario3x2, g, p_hat, m)
+            assert at_hat[m] == pytest.approx(true_hat, rel=1e-10)
             for _ in range(5):
                 p = rng.uniform(0.01, 1.0, size=3) * scenario3x2.p_max
-                true = ((1 + sinr_eavesdropper(scenario3x2, g, p, m)) /
-                        (1 + sinr_destination(scenario3x2, g, p)))
-                assert r.evaluate(p) >= true * (1 - 1e-9)
+                assert condensed(rows, p)[m] >= (
+                    capacity_ratio(scenario3x2, g, p, m) * (1 - 1e-9))
 
 
 class TestGpSolve:
@@ -151,7 +172,7 @@ class TestGpSolve:
         # min x subject to 1/x <= 1: optimum at x = 1
         prob = GpProblem(
             objective=Monomial(coeff=1.0, exponents=np.array([1.0])),
-            constraints=(poly((1.0, [-1.0])),),
+            log_coeffs=[0.0], exponents=[[-1.0]], sizes=[1],
             warm_start=np.array([5.0]))
         sol = gp_solve(prob, tol=1e-10)
         assert sol.x[0] == pytest.approx(1.0, rel=1e-7)
@@ -162,8 +183,8 @@ class TestGpSolve:
         # min t s.t. (x + 1/x)/t <= 1: t* = 2 at x = 1
         prob = GpProblem(
             objective=Monomial(coeff=1.0, exponents=np.array([0.0, 1.0])),
-            constraints=(poly((1.0, [1.0, -1.0]), (1.0, [-1.0, -1.0])),),
-            warm_start=np.array([3.0, 6.0]))
+            log_coeffs=[0.0, 0.0], exponents=[[1.0, -1.0], [-1.0, -1.0]],
+            sizes=[2], warm_start=np.array([3.0, 6.0]))
         sol = gp_solve(prob, tol=1e-10)
         assert sol.x[0] == pytest.approx(1.0, rel=1e-5)
         assert sol.value == pytest.approx(2.0, rel=1e-8)
@@ -172,8 +193,8 @@ class TestGpSolve:
         # min 1/(x y) with x <= 2, y <= 3: optimum 1/6 at the corner
         prob = GpProblem(
             objective=Monomial(coeff=1.0, exponents=np.array([-1.0, -1.0])),
-            constraints=(poly((0.5, [1.0, 0.0])),
-                         poly((1 / 3, [0.0, 1.0]))),
+            log_coeffs=np.log([0.5, 1 / 3]),
+            exponents=[[1.0, 0.0], [0.0, 1.0]], sizes=[1, 1],
             warm_start=np.array([1.0, 1.0]))
         sol = gp_solve(prob, tol=1e-10)
         np.testing.assert_allclose(sol.x, [2.0, 3.0], rtol=1e-7)
@@ -183,14 +204,24 @@ class TestGpSolve:
         with pytest.raises(InvalidInputError):
             gp_solve(GpProblem(
                 objective=Monomial(coeff=1.0, exponents=np.array([1.0])),
-                constraints=(poly((1.0, [-1.0])),),
+                log_coeffs=[0.0], exponents=[[-1.0]], sizes=[1],
                 warm_start=np.array([0.5])))
+
+    def test_rejects_mismatched_arrays(self):
+        objective = Monomial(coeff=1.0, exponents=np.array([1.0]))
+        for log_coeffs, exponents, sizes in (
+                ([0.0], [[-1.0, 1.0]], [1]),    # exponent row too wide
+                ([0.0], [[-1.0]], [2]),         # sizes overrun the terms
+                ([0.0, 0.0], [[-1.0], [1.0]], [2, 0]),  # empty constraint
+                ([[0.0]], [[-1.0]], [1])):      # coefficients not 1-d
+            with pytest.raises(InvalidInputError):
+                GpProblem(objective, log_coeffs, exponents, sizes, [2.0])
 
     def test_newton_budget_raises_with_estimate(self):
         prob = GpProblem(
             objective=Monomial(coeff=1.0, exponents=np.array([0.0, 1.0])),
-            constraints=(poly((1.0, [1.0, -1.0]), (1.0, [-1.0, -1.0])),),
-            warm_start=np.array([3.0, 6.0]))
+            log_coeffs=[0.0, 0.0], exponents=[[1.0, -1.0], [-1.0, -1.0]],
+            sizes=[2], warm_start=np.array([3.0, 6.0]))
         with pytest.raises(AccuracyError) as exc:
             gp_solve(prob, tol=1e-10, max_newton=3)
         est = exc.value.best_estimate
@@ -204,23 +235,21 @@ class TestApproxProgram:
         prob = build_approx_program(scenario3x2, g, p_hat)
         n, m = 3, 2
         assert prob.n_vars == n + 1
-        assert len(prob.constraints) == m + 2 * n
+        assert prob.sizes.size == m + 2 * n
         # warm start feasible by construction
-        for c in prob.constraints:
-            assert c.evaluate(prob.warm_start) < 1.0
+        assert (constraint_values(prob, prob.warm_start) < 1.0).all()
 
     def test_solution_improves_on_expansion_point(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=5)
         p_hat = scenario3x2.p_max / 2
         prob = build_approx_program(scenario3x2, g, p_hat)
-        ratios = condensed_ratios(scenario3x2, g, p_hat)
+        rows = _condensed_ratio_rows(scenario3x2, g, p_hat)
         sol = gp_solve(prob)
-        worst_at_hat = max(r.evaluate(p_hat) for r in ratios)
+        worst_at_hat = condensed(rows, p_hat).max()
         assert sol.value <= worst_at_hat * (1 + 1e-9)
         # t has to cover every condensed ratio at the solved point
         p_new = sol.x[:3]
-        for r in ratios:
-            assert r.evaluate(p_new) <= sol.value * (1 + 1e-8)
+        assert (condensed(rows, p_new) <= sol.value * (1 + 1e-8)).all()
 
     def test_solution_respects_box(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=6)
@@ -261,9 +290,10 @@ class TestPrimalDual:
         g = sample_channels(scenario3x2, seed=5)
         prob = build_approx_program(scenario3x2, g, scenario3x2.p_max)
         n = scenario3x2.n_jammers
-        upper = prob.constraints[scenario3x2.n_eavesdroppers::2][:n]
-        for c in upper:
-            assert 1.0 - c.evaluate(prob.warm_start) < 2e-9
+        values = constraint_values(prob, prob.warm_start)
+        upper = values[scenario3x2.n_eavesdroppers::2][:n]
+        assert upper.size == n
+        assert (1.0 - upper < 2e-9).all()
         sol = gp_solve(prob)
         assert sol.newton_iterations <= 40
         assert sol.duality_gap <= 1e-9
@@ -301,27 +331,17 @@ class TestPrimalDual:
         with pytest.raises(NumericalError, match="singular"):
             gp_solve(prob)
 
-    def test_arrays_match_constraint_views(self, scenario3x2):
-        g = sample_channels(scenario3x2, seed=8)
-        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 3)
-        rebuilt = GpProblem(prob.objective, prob.constraints, prob.warm_start)
-        np.testing.assert_allclose(rebuilt.log_coeffs, prob.log_coeffs,
-                                   rtol=0, atol=1e-14)
-        np.testing.assert_array_equal(rebuilt.exponents, prob.exponents)
-        np.testing.assert_array_equal(rebuilt.sizes, prob.sizes)
-        assert gp_solve(rebuilt).value == pytest.approx(gp_solve(prob).value,
-                                                        rel=1e-12)
-
     def test_zero_gain_terms_left_out(self, scenario3x2):
         from coopjam import ChannelGains
         g = ChannelGains(h_d=1.0, h_e=[1.0, 1.0], g_d=[0.5, 0.0, 0.5],
                          g_e=[[0.4, 0.4, 0.0], [0.4, 0.4, 0.4]])
         prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
-        ratios = condensed_ratios(scenario3x2, g, scenario3x2.p_max / 2)
+        rows = _condensed_ratio_rows(scenario3x2, g, scenario3x2.p_max / 2)
+        num, _ = _ratio_coefficients(scenario3x2, g)
         assert np.isfinite(prob.log_coeffs).all()
-        for m, r in enumerate(ratios):
-            num, _ = sinr_ratio_parts(scenario3x2, g, m)
-            assert prob.sizes[m] == len(num.terms) == len(r.numerator.terms)
+        for m in range(2):
+            assert (prob.sizes[m] == np.count_nonzero(num[m])
+                    == np.isfinite(rows[0][m]).sum())
+        assert np.count_nonzero(num[0]) < num.shape[1]
         sol = gp_solve(prob)
-        for r in ratios:
-            assert r.evaluate(sol.x[:3]) <= sol.value * (1 + 1e-8)
+        assert (condensed(rows, sol.x[:3]) <= sol.value * (1 + 1e-8)).all()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopjam import (ChannelGains, InvalidInputError, PowerAllocation,
-                     Scenario, sample_channels, secrecy_rate,
+                     Scenario, kkt_check, sample_channels, secrecy_rate,
                      sinr_destination, sinr_eavesdropper)
 from coopjam.model import (gains_from_dict, gains_to_dict, load_scenario,
                            save_scenario, scenario_from_dict,
@@ -109,6 +109,29 @@ class TestRates:
         g2 = make_gains(np.random.default_rng(0), 3, 2)
         with pytest.raises(InvalidInputError):
             sinr_eavesdropper(scenario3x2, g2, [0.1, 0.1, 0.1], 5)
+
+    def test_bad_allocation_or_index_rejected(self, scenario3x2):
+        # each used to raise numpy's bare ValueError or IndexError, return
+        # a (1, M) array for the index True, or read a NaN power as rate 0
+        g = make_gains(np.random.default_rng(1), 3, 2)
+        ok = [0.1, 0.2, 0.1]
+        for p in ([0.1, 0.2], [0.1, 0.2, 0.1, 0.3], [[0.1, 0.2, 0.1]],
+                  [np.nan, 0.2, 0.1], [0.1, np.inf, 0.1], [0.1, -0.2, 0.1],
+                  ["a", 0.2, 0.1]):
+            for call in (secrecy_rate, sinr_destination, kkt_check,
+                         lambda s, g, p: sinr_eavesdropper(s, g, p, 0)):
+                with pytest.raises(InvalidInputError):
+                    call(scenario3x2, g, p)
+        for pmat in ([[0.1, 0.2]], [[0.1, 0.2, 0.1], [0.1, np.nan, 0.1]],
+                     np.zeros((2, 2, 3))):
+            with pytest.raises(InvalidInputError):
+                secrecy_rate_batch(scenario3x2, g, pmat)
+        for m in (1.5, True, "0"):
+            with pytest.raises(InvalidInputError):
+                sinr_eavesdropper(scenario3x2, g, ok, m)
+        assert sinr_eavesdropper(scenario3x2, g, ok, np.int64(1)) == \
+            sinr_eavesdropper(scenario3x2, g, ok, 1)
+        assert secrecy_rate_batch(scenario3x2, g, ok).shape == (1,)
 
 
 @given(st.floats(0.01, 50), st.floats(0.01, 50), st.floats(0.001, 10))

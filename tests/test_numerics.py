@@ -167,8 +167,9 @@ class TestQuadrature:
     def test_bad_args(self):
         with pytest.raises(InvalidInputError):
             integrate_semi_infinite(lambda x: 0.0, np.inf)
-        with pytest.raises(InvalidInputError):
-            integrate_semi_infinite(lambda x: 0.0, 0.0, rel_tol=-1.0)
+        for rel_tol in (-1.0, np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                integrate_semi_infinite(lambda x: 0.0, 0.0, rel_tol=rel_tol)
         with pytest.raises(InvalidInputError):
             integrate_semi_infinite(lambda x: 0.0, 0.0, max_subdivisions=0)
 

@@ -11,7 +11,9 @@ from coopjam import (ChannelGains, InvalidInputError, NumericalError,
                      best_jammer_selection, check_positive_secrecy,
                      kkt_check, power_opt, sample_channels, secrecy_rate)
 from coopjam.feasibility import default_strict_margin
-from coopjam.model import secrecy_rate_batch, sinr_eavesdropper
+from coopjam.gp import (Monomial, Posynomial, _product_layout,
+                        _ratio_coefficients, condense, default_power_floor)
+from coopjam.model import _sinrs, secrecy_rate_batch, sinr_eavesdropper
 from coopjam.numerics import LinearProgram, lp_solve
 from coopjam.power_opt import (_attained_u, _charnes_cooper_lp,
                                _solve_feasible, max_sinr_ratio)
@@ -533,7 +535,113 @@ class TestFeasibilityAgreement:
         assert verdict.feasible == (rate > 0)
 
 
+def _kkt_reference(scenario, gains, p_star, n_probes=50, seed=0):
+    """kkt_check as a loop over points, as it was before it evaluated
+    stacked allocations: each condensed ratio is its numerator
+    posynomial over the condensed denominator monomial, and every point
+    is evaluated alone."""
+    pv = np.asarray(p_star, dtype=float)
+    p_floor = default_power_floor(scenario)
+    p_ref = np.clip(pv, p_floor * (1 + 1e-6), scenario.p_max)
+    e, _ = _product_layout(scenario.n_jammers)
+
+    def posynomial(coeffs):
+        return Posynomial([Monomial(coeff=float(c), exponents=row)
+                           for c, row in zip(coeffs, e) if c != 0.0])
+
+    ratios = [(posynomial(num), condense(posynomial(den), p_ref)[0])
+              for num, den in zip(*_ratio_coefficients(scenario, gains))]
+
+    def gamma_exact(p):
+        gd, ge = _sinrs(scenario, gains, p)
+        return (1.0 + ge) / (1.0 + gd)
+
+    def gamma_hat(p):
+        return np.array([num.evaluate(p) / den.evaluate(p)
+                         for num, den in ratios])
+
+    equality_residual = float(np.max(np.abs(gamma_exact(p_ref)
+                                            - gamma_hat(p_ref))))
+    active = pv > power_opt.ZERO_SNAP_FACTOR * p_floor
+    interior = active & (p_ref >= 1e-3 * scenario.p_max)
+    gradient_residual = 0.0
+    for i in np.flatnonzero(interior):
+        h = 1e-6 * max(p_ref[i], 1e-2 * scenario.p_max[i])
+        up, dn = p_ref.copy(), p_ref.copy()
+        up[i] += h
+        dn[i] -= h
+        d_exact = (gamma_exact(up) - gamma_exact(dn)) / (2 * h)
+        d_hat = (gamma_hat(up) - gamma_hat(dn)) / (2 * h)
+        gradient_residual = max(gradient_residual,
+                                float(np.max(np.abs(d_exact - d_hat))))
+    rng = np.random.default_rng(seed)
+    lo = np.full(scenario.n_jammers, p_floor)
+    probes = rng.uniform(lo, scenario.p_max,
+                         size=(n_probes, scenario.n_jammers))
+    gaps = np.array([gamma_hat(q) - gamma_exact(q) for q in probes])
+    boundary_derivative_min = None
+    inactive = np.flatnonzero(~interior)
+    if inactive.size:
+        tau0 = float(np.max(gamma_exact(p_ref)))
+        slopes = []
+        for i in inactive:
+            h = 1e-6 * max(p_floor, 1e-3 * scenario.p_max[i])
+            up = p_ref.copy()
+            up[i] += h
+            slopes.append((float(np.max(gamma_exact(up))) - tau0) / h)
+        boundary_derivative_min = min(slopes)
+    return power_opt.KktReport(
+        equality_residual=equality_residual,
+        gradient_residual=gradient_residual,
+        bound_gap_max=float(gaps.max()), bound_gap_min=float(gaps.min()),
+        boundary_derivative_min=boundary_derivative_min, n_probes=n_probes)
+
+
+def _kkt_cases():
+    """(scenario, gains, allocation): feasible random draws, N <= 5 and
+    M <= 4, each at algorithm_a's optimum and at half power, and a draw
+    whose optimum switches a jammer off."""
+    rng = np.random.default_rng(515)
+    cases = []
+    while len(cases) < 24:
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        s = Scenario(n_jammers=n, n_eavesdroppers=m,
+                     p_source=float(rng.uniform(0.5, 5.0)),
+                     p_max=rng.uniform(0.1, 3.0, n), sigma2_dest=0.1,
+                     sigma2_eaves=np.full(m, 0.1))
+        g = sample_channels(s, seed=int(rng.integers(0, 2 ** 31)))
+        if check_positive_secrecy(s, g).feasible:
+            cases += [(s, g, algorithm_a(s, g)[0].p), (s, g, s.p_max / 2)]
+    s = Scenario(n_jammers=3, n_eavesdroppers=2, p_source=2.0,
+                 p_max=np.array([1.0, 1.0, 3.0]), sigma2_dest=0.1,
+                 sigma2_eaves=np.array([0.1, 0.1]))
+    g = ChannelGains(h_d=2.0, h_e=[1.5, 1.0], g_d=[0.2, 0.3, 1.0],
+                     g_e=[[2.0, 1.0, 0.0], [1.0, 2.0, 0.0]])
+    return cases + [(s, g, algorithm_a(s, g)[0].p)]
+
+
 class TestKktReport:
+    def test_matches_per_point_reference(self):
+        # Stacked and single evaluations differ in the last bits, which
+        # the finite-difference steps (down to ~1e-9) amplify in the two
+        # derivative fields; the bounds are the largest differences
+        # measured on 150 draws.
+        for s, g, p in _kkt_cases():
+            got, want = kkt_check(s, g, p), _kkt_reference(s, g, p)
+            for field in ("equality_residual", "bound_gap_max",
+                          "bound_gap_min"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert abs(a - b) <= 2e-15 * max(1.0, abs(b)), field
+            assert abs(got.gradient_residual
+                       - want.gradient_residual) <= 1e-8
+            if want.boundary_derivative_min is None:
+                assert got.boundary_derivative_min is None
+            else:
+                b = want.boundary_derivative_min
+                assert abs(got.boundary_derivative_min - b) <= \
+                    6.7e-7 * max(1.0, abs(b))
+            assert got.n_probes == want.n_probes
+
     def test_stationary_point_passes(self, scenario3x2):
         g = feasible_draws(scenario3x2, seed=42, count=1)[0]
         alloc, _, _ = algorithm_a(scenario3x2, g, tol=1e-9, max_iter=300)

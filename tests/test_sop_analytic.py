@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import coopjam.sop_analytic as sop_analytic
 from coopjam import (DegeneratePowersError, InvalidInputError,
-                     NumericalError, Scenario, SopScenario, estimate_sop,
+                     NumericalError, ResourceLimitError, Scenario,
+                     SopScenario, estimate_sop,
                      sop_closed_form, sop_closed_form_n2m1, sop_integral)
 from coopjam.numerics import integrate_semi_infinite
 from coopjam.sop_analytic import (_pdf_dest, cdf_gamma_d, cdf_gamma_emax,
@@ -322,23 +323,29 @@ class TestOutageRoutes:
             assert gap <= 1e-9
 
     def test_resource_guard(self):
-        sc = sop(n=2, m=1)
-        with pytest.raises(Exception) as exc:
-            sop_closed_form(sc, max_terms=1)
+        # (N + 1) 2**M = 262,144 pole integrals, past the 200,000 cap
+        sc = sop(n=1, m=17, p=(1.0,))
+        assert expansion_term_count(1, 17) > sop_analytic.MAX_CLOSED_FORM_TERMS
+        with pytest.raises(ResourceLimitError) as exc:
+            sop_closed_form(sc)
         assert "sop_integral" in str(exc.value)
 
-    def test_nan_max_terms_rejected(self):
-        # a NaN cap would compare False and switch the guard off
-        with pytest.raises(InvalidInputError):
-            sop_closed_form(sop(n=2, m=1), max_terms=float("nan"))
-
-    def test_nan_rel_tol_rejected(self):
-        with pytest.raises(InvalidInputError):
-            sop_integral(sop(n=2, m=1), rel_tol=float("nan"))
-
-    def test_infinite_rel_tol_rejected(self):
-        with pytest.raises(InvalidInputError):
-            sop_integral(sop(n=2, m=1), rel_tol=float("inf"))
+    @pytest.mark.parametrize("route, kw", [
+        (sop_integral, dict(n=3, m=2, p=(1.0, 1.0, 3.0), rate=1023.9)),
+        (sop_closed_form, dict(p=(0.8, 2.1), ps=1e300)),
+        (sop_closed_form, dict(p=(0.8, 2.1), ps=1e-300)),
+    ])
+    def test_extreme_inputs_warn_nothing(self, route, kw):
+        # the overflow, or the division by an underflowed pole gap, used
+        # to surface as a RuntimeWarning before the result or the error
+        sc = sop(**kw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if route is sop_integral:
+                assert route(sc).p_out == 1.0
+            else:
+                with pytest.raises(NumericalError, match="sop_integral"):
+                    route(sc)
 
 
 class TestTiedPowers:
