@@ -1,10 +1,17 @@
-"""Counter-based random streams and the Monte Carlo outage kernel.
+"""Counter-based random stream and the Monte Carlo outage kernel.
+
+Every draw is a pure function of ``(seed, counter)``: splitmix64 of the
+counter, scaled to a uniform u in [0, 1) and mapped to a unit-rate
+exponential -log1p(-u).  uniform_at is the scalar reference; one array
+generator (_hash_inputs and _exponential_block) makes the draws of
+both sample_channels (draw_channel_arrays, one sample) and the outage
+kernel (a block of samples at a time).
 
 The outage kernel is blocked and multi-core: each CPU the process may
 run on counts one contiguous range of samples, a few thousand samples
-at a time in buffers it reuses.  Every draw is a pure function of
-``(seed, counter)``, so the count does not depend on the number of
-workers or on the block size.
+at a time in buffers it reuses.  Since every draw depends on its
+counter alone, the count does not depend on the number of workers or
+on the block size.
 
 Draw layout for fading sample ``i`` of a network with ``n`` jammers and
 ``m`` eavesdroppers (``d = 1 + m + n + m*n`` draws per sample, counters
@@ -64,32 +71,55 @@ def uniform_at(seed: int, counter: int) -> float:
     return (_word_int(seed_key(seed), counter) >> 11) * _INV_2_53
 
 
-def _words_np(key: int, counters: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 word for an array of counters (uint64)."""
-    z = (counters + _U64(1)) * _U64(_GOLDEN) + _U64(key)
-    z ^= z >> _U64(30)
+def _hash_inputs(key: int, d: int, rows: int):
+    """The (rows, d) uint64 hash inputs of samples 0 .. rows - 1, and
+    the shift per sample.
+
+    Draw ``off`` of sample ``i`` hashes ``(i*d + off + 1)*GOLDEN + key``
+    (mod 2**64), as uniform_at does for counter ``i*d + off``; samples
+    ``first ..`` hash the table plus ``first * shift``, exact in uint64.
+    """
+    shift = (d * _GOLDEN) & _MASK
+    per_offset = (np.arange(1, d + 1, dtype=np.uint64) * _U64(_GOLDEN)
+                  + _U64(key))
+    per_sample = np.arange(rows, dtype=np.uint64) * _U64(shift)
+    return per_sample[:, None] + per_offset[None, :], shift
+
+
+def _exponential_block(base, shift, words, draws):
+    """Unit-rate exponential draws -log1p(-u) for the hash inputs
+    ``base + shift`` (mod 2**64), written into ``draws``.
+
+    ``words`` (uint64) and ``draws`` (float64) are buffers of the shape
+    of ``base``; splitmix64 runs in place in ``words``, and the shifted
+    words live in the draw buffer until the draws do.
+    """
+    z = words
+    t = draws.view(np.uint64)
+    np.add(base, _U64(shift & _MASK), out=z)
+    np.right_shift(z, _U64(30), out=t)
+    z ^= t
     z *= _U64(_MIX_A)
-    z ^= z >> _U64(27)
+    np.right_shift(z, _U64(27), out=t)
+    z ^= t
     z *= _U64(_MIX_B)
-    z ^= z >> _U64(31)
-    return z
-
-
-def uniform_stream(seed: int, counters) -> np.ndarray:
-    counters = np.asarray(counters, dtype=np.uint64)
-    return (_words_np(seed_key(seed), counters) >> _U64(11)) * _INV_2_53
-
-
-def exponential_stream(seed: int, counters) -> np.ndarray:
-    """Unit-rate exponential draws via inverse CDF, -log1p(-u)."""
-    return -np.log1p(-uniform_stream(seed, counters))
+    np.right_shift(z, _U64(31), out=t)
+    z ^= t
+    z >>= _U64(11)
+    np.multiply(z, _INV_2_53, out=draws)
+    np.negative(draws, out=draws)
+    np.log1p(draws, out=draws)
+    np.negative(draws, out=draws)
 
 
 def draw_channel_arrays(seed: int, index: int, n: int, m: int):
     """All power gains for fading sample ``index``: (h_d, h_e, g_d, g_e)."""
     d = 1 + m + n + m * n
-    base = index * d
-    e = exponential_stream(seed, np.arange(base, base + d, dtype=np.uint64))
+    base, shift = _hash_inputs(seed_key(seed), d, 1)
+    words = np.empty((1, d), dtype=np.uint64)
+    draws = np.empty((1, d))
+    _exponential_block(base, index * shift, words, draws)
+    e = draws[0]
     h_d = e[0]
     h_e = e[1:1 + m].copy()
     g_d = e[1 + m:1 + m + n].copy()
@@ -138,50 +168,22 @@ if hasattr(os, "register_at_fork"):
 
 
 def _mc_outage_range(ps, p, sig2d, sig2e, mu, nu, key, start, stop):
-    """Outage count over samples ``start .. stop - 1``, block by block.
-
-    The hash input of draw ``off`` of sample ``i`` is
-    ``(i*d + off + 1)*GOLDEN + key`` (mod 2**64), formed as a per-sample
-    term ``i*d*GOLDEN`` plus a per-offset term ``(off + 1)*GOLDEN + key``;
-    the split is exact in uint64 arithmetic.  The remaining steps repeat
-    _words_np and exponential_stream operation for operation, in place.
-    """
+    """Outage count over samples ``start .. stop - 1``, block by block,
+    each block's draws made by _exponential_block in reused buffers."""
     if stop <= start:
         return 0
     n = p.size
     m = sig2e.size
     d = 1 + m + n + m * n
     rows = min(_BLOCK, stop - start)
-    step = (d * _GOLDEN) & _MASK
-    per_offset = (np.arange(1, d + 1, dtype=np.uint64) * _U64(_GOLDEN)
-                  + _U64(key))
-    per_sample = np.arange(rows, dtype=np.uint64) * _U64(step)
-    # Hash inputs of a block that starts at sample 0.
-    base = per_sample[:, None] + per_offset[None, :]
+    base, shift = _hash_inputs(key, d, rows)
     words = np.empty((rows, d), dtype=np.uint64)
     draws = np.empty((rows, d))
-    # The shifted words live in the draw buffer until the draws do.
-    shifted = draws.view(np.uint64)
     count = 0
     for first in range(start, stop, rows):
         k = min(rows, stop - first)
-        z = words[:k]
-        t = shifted[:k]
         x = draws[:k]
-        np.add(base[:k], _U64((first * step) & _MASK), out=z)
-        np.right_shift(z, _U64(30), out=t)
-        z ^= t
-        z *= _U64(_MIX_A)
-        np.right_shift(z, _U64(27), out=t)
-        z ^= t
-        z *= _U64(_MIX_B)
-        np.right_shift(z, _U64(31), out=t)
-        z ^= t
-        z >>= _U64(11)
-        np.multiply(z, _INV_2_53, out=x)
-        np.negative(x, out=x)
-        np.log1p(x, out=x)
-        np.negative(x, out=x)
+        _exponential_block(base[:k], first * shift, words[:k], x)
         h_d = x[:, 0]
         h_e = x[:, 1:1 + m]
         g_d = x[:, 1 + m:1 + m + n]

@@ -7,14 +7,18 @@ it also covers equal-power settings.  Sampling is counter-based and
 fully reproducible per seed; see _kernels for the counting kernel.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import mc_outage_count
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError
 from .model import _integer
 from .sop_analytic import SopScenario
+
+# The largest draw the stream gives, -log1p(-(1 - 2**-53)) = 53 ln 2.
+_MAX_DRAW = -math.log1p(-(1.0 - 2.0 ** -53))
 
 
 @dataclass(frozen=True)
@@ -31,7 +35,9 @@ def estimate_sop(sc: SopScenario, n_samples: int, seed: int) -> OutageEstimate:
     complement of achieving the target rate.
 
     ``n_samples`` and ``seed`` must be integers (not bool); anything
-    else raises InvalidInputError, as does ``n_samples < 1000``.
+    else raises InvalidInputError, as does ``n_samples < 1000``.  Powers
+    and noise levels at which a sampled SINR could overflow a float
+    raise NumericalError before any sampling.
 
     The kernel spreads the samples over the process's CPUs; its count,
     and so the estimate, does not depend on how many there are.
@@ -42,6 +48,16 @@ def estimate_sop(sc: SopScenario, n_samples: int, seed: int) -> OutageEstimate:
         raise InvalidInputError(
             f"n_samples must be >= 1000 for a usable error bar, got {n_samples}")
     s = sc.scenario
+    # Python floats, which overflow to inf without a numpy warning.
+    noise = [float(s.sigma2_dest), *s.sigma2_eaves.tolist()]
+    jammers = sum(s.p_max.tolist())
+    peak = float(s.p_source) * _MAX_DRAW / min(noise)
+    if not (math.isfinite(peak)
+            and math.isfinite(_MAX_DRAW * jammers + max(noise))):
+        raise NumericalError(
+            f"sampled SINRs can overflow a float at p_source={s.p_source:g} "
+            f"with p_max summing to {jammers:g} and noise down to "
+            f"{min(noise):g}; rescale the powers and noise together")
     mu = 2.0 ** sc.rate
     nu = 2.0 ** (-sc.rate) - 1.0
     count = mc_outage_count(s.p_source, s.p_max, s.sigma2_dest,

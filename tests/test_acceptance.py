@@ -285,7 +285,9 @@ def _ei_series_neg(x):
 
 def _e1_cf_scaled_backward(t, depth=220):
     # e^t E1(t) via the Legendre continued fraction, run backward from a
-    # zero tail; a different evaluation route than the library's
+    # zero tail; the library runs the same fraction backward too, so this
+    # differs from it in precision and depth (longdouble, 220 levels).
+    # tests/test_numerics.py checks both branches against 40-digit mpmath.
     f = np.longdouble(0.0)
     tl = np.longdouble(t)
     for k in range(depth, 0, -1):

@@ -183,6 +183,19 @@ class TestSop:
             assert "1024" in res.output
             assert "Traceback" not in res.output
 
+    def test_overflowing_mc_is_failure(self, runner, tmp_path):
+        s = Scenario(n_jammers=2, n_eavesdroppers=1, p_source=1e300,
+                     p_max=[1e-300, 2e-300], sigma2_dest=1e-300,
+                     sigma2_eaves=[1e-300])
+        path = tmp_path / "huge.json"
+        save_scenario(path, s)
+        res = runner.invoke(main, ["sop", "--rate", "1", "--method", "mc",
+                                   "--samples", "1000",
+                                   "--scenario", str(path)])
+        assert res.exit_code == EXIT_FAILURE
+        assert "p_source" in res.output
+        assert "Traceback" not in res.output
+
     def test_overflowing_closed_form_reported_unavailable(self, runner):
         # at rate 500 the closed form overflows; --method all reports it
         # like its other refusals, and the document stays strict JSON

@@ -15,35 +15,63 @@ from hypothesis import strategies as st
 from coopjam import _kernels
 
 
-def ctr(start, count):
-    return np.arange(start, start + count, dtype=np.uint64)
+def exponentials(seed, start, count):
+    """Draws at counters start .. start + count - 1 from the block
+    generator, as ``count`` samples of one draw each."""
+    base, shift = _kernels._hash_inputs(_kernels.seed_key(seed), 1, count)
+    words = np.empty((count, 1), dtype=np.uint64)
+    draws = np.empty((count, 1))
+    _kernels._exponential_block(base, start * shift, words, draws)
+    return draws.ravel()
+
+
+def reference(seed, counters):
+    """-log1p(-u) of the scalar reference's uniform at each counter."""
+    u = np.array([_kernels.uniform_at(seed, int(c)) for c in counters])
+    return -np.log1p(-u)
 
 
 class TestStream:
     def test_scalar_matches_vector(self):
-        vec = _kernels.uniform_stream(123, ctr(7, 64))
-        for i, v in enumerate(vec):
-            assert _kernels.uniform_at(123, 7 + i) == v
+        # a (rows, d) block from sample `first` on: draw `off` of sample
+        # `first + i` is the scalar reference at counter (first + i)*d + off
+        seed, d, rows, first = 123, 5, 9, 7
+        base, shift = _kernels._hash_inputs(_kernels.seed_key(seed), d, rows)
+        words = np.empty((rows, d), dtype=np.uint64)
+        draws = np.empty((rows, d))
+        _kernels._exponential_block(base, first * shift, words, draws)
+        want = reference(seed, range(first * d, (first + rows) * d))
+        assert draws.ravel().tolist() == want.tolist()
 
-    def test_unit_interval(self):
-        u = _kernels.uniform_stream(0, ctr(0, 100_000))
-        assert (u >= 0).all() and (u < 1).all()
-        assert u.mean() == pytest.approx(0.5, abs=0.01)
+    def test_unit_exponential(self):
+        e = exponentials(0, 0, 100_000)
+        # u in [0, 1 - 2**-53], so e in [0, 53 ln 2]
+        assert (e >= 0).all() and (e <= 53 * np.log(2.0)).all()
+        assert e.mean() == pytest.approx(1.0, abs=0.02)
 
     def test_seed_and_counter_sensitivity(self):
-        a = _kernels.uniform_stream(1, ctr(0, 1000))
-        b = _kernels.uniform_stream(2, ctr(0, 1000))
-        c = _kernels.uniform_stream(1, ctr(1000, 1000))
+        a = exponentials(1, 0, 1000)
+        b = exponentials(2, 0, 1000)
+        c = exponentials(1, 1000, 1000)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
         # adjacent seeds must not produce correlated lanes
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.1
 
     def test_exponential_is_inverse_cdf(self):
-        u = _kernels.uniform_stream(5, ctr(3, 512))
-        e = _kernels.exponential_stream(5, ctr(3, 512))
-        np.testing.assert_array_equal(e, -np.log1p(-u))
-        assert (e >= 0).all()
+        # sample_channels' draws are -log1p(-u) of the scalar reference,
+        # bit for bit, up to the end of the counter range
+        cases = [(5, 0, 1, 1), (11, 6, 3, 2), (2 ** 63 + 3, 10 ** 9, 6, 4),
+                 # the last sample whose counters fit below 2**64
+                 (7, 2 ** 64 // 25 - 1, 4, 4)]
+        for seed, index, n, m in cases:
+            d = 1 + m + n + m * n
+            h_d, h_e, g_d, g_e = _kernels.draw_channel_arrays(seed, index,
+                                                              n, m)
+            got = np.concatenate([[h_d], h_e, g_d, g_e.ravel()])
+            want = reference(seed, range(index * d, (index + 1) * d))
+            assert got.tolist() == want.tolist(), (seed, index)
+            assert (got >= 0).all()
 
     def test_draw_layout_matches_stream(self):
         # channel draws are a fixed window of the exponential stream
@@ -51,7 +79,7 @@ class TestStream:
         seed, index = 11, 6
         h_d, h_e, g_d, g_e = _kernels.draw_channel_arrays(seed, index, n, m)
         per = 1 + m + n + m * n
-        flat = _kernels.exponential_stream(seed, ctr(index * per, per))
+        flat = exponentials(seed, index * per, per)
         assert h_d == flat[0]
         np.testing.assert_array_equal(h_e, flat[1:1 + m])
         np.testing.assert_array_equal(g_d, flat[1 + m:1 + m + n])

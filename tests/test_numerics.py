@@ -1,11 +1,13 @@
 """Exponential integral, semi-infinite quadrature, LP kernel."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -42,6 +44,33 @@ SCALED_TABLE = {
     200.0: -0.0049752463231793566242,
 }
 
+# float.hex of exp(t) * Ei(-t) from the series branch (t <= 6), recorded
+# before the series was reshaped to a fixed 60 terms; its bits must not move
+SERIES_BITS = {
+    1e-300: "-0x1.5919624b963c8p+9",
+    1e-3: "-0x1.959fba908db85p+2",
+    0.1: "-0x1.01dfce9153962p+1",
+    0.5: "-0x1.d887be0f4bedbp-1",
+    1.0: "-0x1.3154710477cc5p-1",
+    2.5: "-0x1.36cf7a14cb1afp-2",
+    4.0: "-0x1.a6988c4ff9a66p-3",
+    5.0: "-0x1.5d064d4d3fa10p-3",
+    5.8197295492487475: "-0x1.31a06ea3c6cd9p-3",
+    6.0: "-0x1.29821325d0e06p-3",
+}
+
+
+def _mpmath_scaled_ei():
+    """About 1,000 arguments from 1e-300 to 1e300 (geometric, plus linear
+    on (0, 6]) and 40-digit mpmath exp(t) * Ei(-t) at each."""
+    t = np.unique(np.concatenate([np.geomspace(1e-300, 1e300, 700),
+                                  np.linspace(0.0, 6.0, 301)[1:],
+                                  [np.nextafter(6.0, 7.0)]]))
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.exp(v) * mpmath.ei(-v))
+                         for v in map(mpmath.mpf, t.tolist())])
+    return t, want
+
 
 class TestExpIntegral:
     def test_reference_values(self):
@@ -60,6 +89,27 @@ class TestExpIntegral:
         series = _ei_series_neg(-t)
         fraction = -np.exp(-t) * _e1_cf_scaled(t)
         np.testing.assert_allclose(series, fraction, rtol=2e-13, atol=0)
+
+    def test_series_bits_pinned(self):
+        got = {t: scaled_exp_integral_ei(t).hex() for t in SERIES_BITS}
+        assert got == SERIES_BITS
+
+    def test_series_against_mpmath(self):
+        # the series loses digits to cancellation as t nears 6: the worst
+        # point of this grid is 1.5e-14, at t = 5.98
+        t, want = _mpmath_scaled_ei()
+        near = t <= 6.0
+        got = scaled_exp_integral_ei(t[near])
+        assert (np.abs(got - want[near]) / np.abs(want[near])).max() <= 2e-14
+
+    def test_fraction_against_mpmath(self):
+        t, want = _mpmath_scaled_ei()
+        far = t > 6.0
+        got = scaled_exp_integral_ei(t[far])
+        assert (np.abs(got - want[far]) / np.abs(want[far])).max() <= 1e-15
+        # exp(t) Ei(-t) ~ -1/t is subnormal here
+        edge = scaled_exp_integral_ei(1.7e308)
+        assert math.isfinite(edge) and edge < 0
 
     def test_array_matches_scalar_bit_for_bit(self):
         # each element of an array takes the steps a lone float takes, on

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from coopjam import (InvalidInputError, Scenario, SopScenario, estimate_sop,
-                     sop_integral)
+from coopjam import (InvalidInputError, NumericalError, Scenario, SopScenario,
+                     estimate_sop, sop_integral)
 from tests.conftest import conditioned_sop_scenario
 
 
@@ -66,6 +66,19 @@ class TestEstimator:
         assert est == estimate_sop(sc, 10_000, 1)
         assert type(est.n_samples) is int and type(est.seed) is int
         assert type(est.p_out) is float and type(est.std_error) is float
+
+    @pytest.mark.parametrize("ps, p, sigma2", [
+        (1e300, [1e-300, 2e-300], 1e-300),   # SINR = ps*h/sigma2 overflows
+        (1.0, [1e300, 1.7e308], 0.1),        # the jamming sum g @ p does
+    ])
+    def test_overflowing_sinrs_rejected(self, ps, p, sigma2):
+        # checked before sampling, so no overflow warning escapes and no
+        # inf >= inf comparison is counted as an outage
+        s = Scenario(n_jammers=2, n_eavesdroppers=2, p_source=ps,
+                     p_max=np.array(p), sigma2_dest=sigma2,
+                     sigma2_eaves=np.array([sigma2, sigma2]))
+        with pytest.raises(NumericalError, match="p_source"):
+            estimate_sop(SopScenario(scenario=s, rate=1.0), 10_000, 1)
 
     def test_error_shrinks_with_samples(self):
         sc = make_sop([0.7, 1.9])
