@@ -11,7 +11,6 @@ import json
 import sys
 
 import click
-import numpy as np
 
 from . import __version__
 from .errors import (CoopJamError, DegeneratePowersError, NumericalError,
@@ -113,7 +112,7 @@ def optimize(scenario_path, seed, index, method, tol, max_iter, out_path,
     if method == "a":
         alloc, rate, trace = algorithm_a(scenario, gains, tol=tol,
                                          max_iter=max_iter)
-        doc.update(iterations=len(trace.iterations),
+        doc.update(iterations=trace.rates.size,
                    converged=trace.converged,
                    stop_reason=trace.stop_reason)
     elif method == "b":

@@ -308,10 +308,11 @@ _MU = 5.0
 _STEP_BACK = 0.99
 _ARMIJO = 0.01
 _DUAL_TOL = 1e-8
+# Newton iterations before gp_solve gives up with AccuracyError
+_MAX_NEWTON = 600
 
 
-def gp_solve(problem: GpProblem, tol: float = 1e-9,
-             max_newton: int = 600) -> GpSolution:
+def gp_solve(problem: GpProblem, tol: float = 1e-9) -> GpSolution:
     """Primal-dual interior-point solve of a geometric program.
 
     Works on z = log x, where the objective c'z is linear and each
@@ -323,7 +324,7 @@ def gp_solve(problem: GpProblem, tol: float = 1e-9,
     fraction away from zero, then backtracks until the residual norm
     falls.  Stops once eta <= ``tol`` and the dual residual is below
     1e-8, so the reported objective is within ~tol of optimal in log
-    terms (relative in x).  ``max_newton`` caps the iterations;
+    terms (relative in x).  _MAX_NEWTON caps the iterations;
     reaching it, or a step that cannot lower the residual, raises
     ``AccuracyError`` carrying the current point.
     """
@@ -378,8 +379,8 @@ def gp_solve(problem: GpProblem, tol: float = 1e-9,
         dual_sq = float(r_dual.dot(r_dual))
         if eta <= tol and dual_sq <= _DUAL_TOL ** 2:
             break
-        if iterations >= max_newton:
-            raise failure(f"GP solver hit the iteration budget ({max_newton})",
+        if iterations >= _MAX_NEWTON:
+            raise failure(f"GP solver hit the iteration budget ({_MAX_NEWTON})",
                           z, eta, iterations)
         inv_t = eta / (_MU * m_c)
         inv_s = -1.0 / f

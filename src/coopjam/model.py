@@ -111,12 +111,6 @@ class PowerAllocation(_ArrayEq):
         if not (np.isfinite(self.p).all() and (self.p >= 0).all()):
             raise InvalidInputError("powers must be finite and >= 0")
 
-    def validate_for(self, scenario: Scenario, atol: float = 1e-9):
-        if self.p.shape != (scenario.n_jammers,):
-            raise InvalidInputError("allocation length does not match scenario")
-        if (self.p > scenario.p_max + atol).any():
-            raise InvalidInputError("allocation exceeds per-jammer power caps")
-
 
 def _integer(name, value) -> int:
     """``value`` as a plain int; InvalidInputError for a bool or a

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (AccuracyError, DomainError, InvalidInputError,
                      NumericalError)
-from .model import _integer
 
 _EULER_GAMMA = 0.57721566490153286060651209008240243
 
@@ -150,6 +149,9 @@ _WEIGHTS = np.column_stack([_WK15, _WK15 - _WG7])
 _ROUNDING = 50.0 * np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _EPSABS = 1e-12
+# integrate_semi_infinite raises AccuracyError rather than hold more
+# t-intervals than this
+_MAX_SUBDIVISIONS = 200
 
 
 def _kronrod_rule(f, a, centre, half):
@@ -181,8 +183,8 @@ def _kronrod_rule(f, a, centre, half):
     return value, np.maximum(err, _ROUNDING * resabs)
 
 
-def integrate_semi_infinite(f, a: float, rel_tol: float = 1e-10,
-                            max_subdivisions: int = 200) -> QuadratureResult:
+def integrate_semi_infinite(f, a: float,
+                            rel_tol: float = 1e-10) -> QuadratureResult:
     """Integral of ``f`` over [a, infinity) by globally adaptive
     Gauss-Kronrod quadrature.
 
@@ -193,7 +195,7 @@ def integrate_semi_infinite(f, a: float, rel_tol: float = 1e-10,
     Each round bisects every interval whose error estimate exceeds its
     share (its width) of the tolerance max(1e-12, rel_tol * |value|),
     and evaluates all the new intervals' nodes in one call of ``f``.
-    If that tolerance is not met within ``max_subdivisions`` intervals,
+    If that tolerance is not met within _MAX_SUBDIVISIONS intervals,
     the best estimate is attached to the raised AccuracyError.  There is
     no extrapolation (qagi's epsilon algorithm), so an integrable
     singularity such as x**-0.5 at x = a ends in that error.
@@ -203,9 +205,6 @@ def integrate_semi_infinite(f, a: float, rel_tol: float = 1e-10,
     if not (rel_tol > 0 and math.isfinite(rel_tol)):
         raise InvalidInputError(
             f"rel_tol must be finite and positive, got {rel_tol}")
-    max_subdivisions = _integer("max_subdivisions", max_subdivisions)
-    if max_subdivisions < 1:
-        raise InvalidInputError("max_subdivisions must be at least 1")
     centre, half = np.array([0.5]), np.array([0.5])
     value, err = _kronrod_rule(f, a, centre, half)
     evaluations = _NODES.size
@@ -215,10 +214,10 @@ def integrate_semi_infinite(f, a: float, rel_tol: float = 1e-10,
         if total_err <= tol:
             return QuadratureResult(value=total, abs_error_estimate=total_err,
                                     evaluations=evaluations)
-        room = max_subdivisions - centre.size
+        room = _MAX_SUBDIVISIONS - centre.size
         if room <= 0:
             raise AccuracyError(
-                f"quadrature did not converge within {max_subdivisions} "
+                f"quadrature did not converge within {_MAX_SUBDIVISIONS} "
                 f"subintervals (estimate {total:.6g}, err {total_err:.2g})",
                 best_estimate=total)
         # the shares 2 * tol * half are exact and add up to tol, so some

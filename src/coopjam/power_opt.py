@@ -18,7 +18,6 @@ algorithm A.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,31 +25,25 @@ from .errors import CoopJamError, InvalidInputError, NumericalError
 from .feasibility import check_positive_secrecy
 from .gp import (_condensed_ratio_rows, build_approx_program,
                  default_power_floor, gp_solve)
-from .model import (ChannelGains, PowerAllocation, Scenario, _allocations,
-                    _check_dims, _integer, _p_vec, _sinrs, secrecy_rate,
-                    secrecy_rate_batch)
+from .model import (ChannelGains, PowerAllocation, Scenario, _ArrayEq,
+                    _allocations, _check_dims, _integer, _p_vec, _sinrs,
+                    secrecy_rate, secrecy_rate_batch)
 from .numerics import LinearProgram, lp_solve
 
 ZERO_SNAP_FACTOR = 10.0
+# random points at which kkt_check probes the condensation bound, drawn
+# with seed 0
+KKT_PROBES = 50
 
 
-class IterationPoint(NamedTuple):
-    allocation: PowerAllocation
-    secrecy_rate: float
-    ratio_bound: float
-    """Worst-eavesdropper value of (1+SINR_e)/(1+SINR_d), the quantity
-    the GP step minimises."""
+@dataclass(frozen=True, eq=False)
+class IterationTrace(_ArrayEq):
+    """One ascent run: the exact rate at the start and after every
+    accepted GP round, whether it met its stop rule, and why it ended."""
 
-
-@dataclass(frozen=True)
-class IterationTrace:
-    iterations: tuple
+    rates: np.ndarray
     converged: bool
-    stop_reason: str  # "tolerance" | "max_iter"
-
-    @property
-    def rates(self) -> np.ndarray:
-        return np.array([pt.secrecy_rate for pt in self.iterations])
+    stop_reason: str  # "tolerance" | "max_iter" | "error"
 
 
 def max_sinr_ratio(scenario: Scenario, gains: ChannelGains, p) -> float:
@@ -96,9 +89,8 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
         # while the reported rate sits clamped at 0 the ratio can still
         # be descending, and stopping on a 0 -> 0 "improvement" would
         # strand the iteration before positive-rate territory.
-        tau = max_sinr_ratio(scenario, gains, pv)
-        work = -np.log2(tau)
-        points = [IterationPoint(PowerAllocation(pv), max(0.0, work), tau)]
+        work = -np.log2(max_sinr_ratio(scenario, gains, pv))
+        rates = [max(0.0, work)]
         converged = False
         stop_reason = "max_iter"
         for _ in range(max_iter):
@@ -106,19 +98,17 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
                 problem = build_approx_program(scenario, gains, pv)
                 sol = gp_solve(problem)
             except CoopJamError as err:
-                err.trace = IterationTrace(tuple(points), False, "error")
+                err.trace = IterationTrace(np.array(rates), False, "error")
                 raise
             p_new = np.clip(sol.x[:n], 0.0, scenario.p_max)
-            tau_new = max_sinr_ratio(scenario, gains, p_new)
-            work_new = -np.log2(tau_new)
+            work_new = -np.log2(max_sinr_ratio(scenario, gains, p_new))
             if work_new < work - 1e-12:
                 # No exact improvement at solver accuracy: fixed point.
                 # Keep the previous iterate so the trace stays monotone.
                 converged = True
                 stop_reason = "tolerance"
                 break
-            points.append(IterationPoint(PowerAllocation(p_new),
-                                         max(0.0, work_new), tau_new))
+            rates.append(max(0.0, work_new))
             delta = work_new - work
             pv, work = p_new, work_new
             if delta < tol:
@@ -126,7 +116,7 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
                 stop_reason = "tolerance"
                 break
 
-        trace = IterationTrace(tuple(points), converged, stop_reason)
+        trace = IterationTrace(np.array(rates), converged, stop_reason)
         p_final = pv.copy()
         p_final[p_final <= ZERO_SNAP_FACTOR * p_floor] = 0.0
         rate_final = secrecy_rate(scenario, gains, p_final)
@@ -402,8 +392,8 @@ class KktReport:
     curvature diverges and a finite step would measure that instead of
     the first-order tangency, so those coordinates fall under the
     boundary slope test below.
-    bound_gap_max / bound_gap_min: extremes over random probe points of
-    condensed minus exact ratio; the minimum certifies the condensation
+    bound_gap_max / bound_gap_min: extremes over KKT_PROBES random points
+    of condensed minus exact ratio; the minimum certifies the condensation
     really is an upper bound on the ratio objective being minimised.
     boundary_derivative_min: smallest one-sided slope of the worst-case
     ratio when pushing a zeroed or near-floor jammer up (None when every
@@ -416,14 +406,10 @@ class KktReport:
     bound_gap_max: float
     bound_gap_min: float
     boundary_derivative_min: float | None
-    n_probes: int
 
 
-def kkt_check(scenario: Scenario, gains: ChannelGains, p_star,
-              n_probes: int = 50, seed: int = 0) -> KktReport:
+def kkt_check(scenario: Scenario, gains: ChannelGains, p_star) -> KktReport:
     _check_dims(scenario, gains)
-    if _integer("n_probes", n_probes) < 1:
-        raise InvalidInputError(f"n_probes must be >= 1, got {n_probes}")
     pv = _allocations(scenario, p_star)
     p_floor = default_power_floor(scenario)
     p_ref = np.clip(pv, p_floor * (1 + 1e-6), scenario.p_max)
@@ -461,9 +447,10 @@ def kkt_check(scenario: Scenario, gains: ChannelGains, p_star,
     d_hat = (gamma_hat(up) - gamma_hat(dn)) / (2 * h[:, None])
     gradient_residual = float(np.max(np.abs(d_exact - d_hat), initial=0.0))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     lo = np.full(scenario.n_jammers, p_floor)
-    probes = rng.uniform(lo, scenario.p_max, size=(n_probes, scenario.n_jammers))
+    probes = rng.uniform(lo, scenario.p_max,
+                         size=(KKT_PROBES, scenario.n_jammers))
     gaps = gamma_hat(probes) - gamma_exact(probes)
     # The condensation upper-bounds the ratio objective, so gaps stay
     # (numerically) nonnegative.
@@ -482,5 +469,4 @@ def kkt_check(scenario: Scenario, gains: ChannelGains, p_star,
                      gradient_residual=gradient_residual,
                      bound_gap_max=bound_gap_max,
                      bound_gap_min=bound_gap_min,
-                     boundary_derivative_min=boundary_derivative_min,
-                     n_probes=n_probes)
+                     boundary_derivative_min=boundary_derivative_min)

@@ -17,9 +17,11 @@ poles, so exactly tied powers are accepted there too, while distinct
 poles closer than MIN_RELATIVE_POWER_GAP are rejected.  One array
 kernel does that for every pole integral of a call at once, with one
 exponential-integral evaluation over all their arguments; pole_integral
-and elementary_integral are its one-integral cases.  At rates past a
-few hundred bits, or source powers near 1e+-300, its constants or addends
-overflow, and it raises NumericalError.
+is its one-integral case.  At rates past a few hundred bits, or source
+powers near 1e+-300, its constants or addends overflow, and where noise
+is so small against the source power that an exponential-integral
+argument is subnormal, its cancelling terms lose the result; both raise
+NumericalError.
 The printed two-jammer/one-eavesdropper special case,
 sop_closed_form_n2m1, is spelt independently: it forms its own mu, nu,
 xi and poles kappa_n, lam_n, uses the hypoexponential coefficients A_n
@@ -38,7 +40,7 @@ import numpy as np
 from .errors import (DegeneratePowersError, InvalidInputError,
                      NumericalError, ResourceLimitError)
 from .model import Scenario, _integer
-from .numerics import integrate_semi_infinite, scaled_exp_integral_ei
+from .numerics import _TINY, integrate_semi_infinite, scaled_exp_integral_ei
 
 MIN_RELATIVE_POWER_GAP = 1e-6
 # sop_closed_form raises ResourceLimitError past this many pole integrals
@@ -63,15 +65,6 @@ def min_relative_gap(powers) -> float:
     return float(np.min(np.diff(p) / p[1:]))
 
 
-def require_distinct(powers, min_gap: float, context: str):
-    gap = min_relative_gap(powers)
-    if gap < min_gap:
-        raise DegeneratePowersError(
-            f"{context}: jammer powers too close (relative gap {gap:.2e} "
-            f"< {min_gap:.0e}); separate them, or use sop_integral or "
-            "estimate_sop, which accept tied powers")
-
-
 @dataclass(frozen=True)
 class SopScenario:
     """Statistical outage setting: jammers always transmit at p_max and
@@ -93,7 +86,12 @@ def coeff_a(powers) -> np.ndarray:
     A_n = P_n**(N-2) / prod_{j!=n}(P_n - P_j), formed from exact
     differences of the powers.  They satisfy sum_n A_n P_n = 1."""
     p = np.asarray(powers, dtype=float)
-    require_distinct(p, MIN_RELATIVE_POWER_GAP, "coeff_a")
+    gap = min_relative_gap(p)
+    if gap < MIN_RELATIVE_POWER_GAP:
+        raise DegeneratePowersError(
+            f"coeff_a: jammer powers too close (relative gap {gap:.2e} "
+            f"< {MIN_RELATIVE_POWER_GAP:.0e}); separate them, or use "
+            "sop_integral or estimate_sop, which accept tied powers")
     out = np.empty(p.size)
     for n in range(p.size):
         out[n] = p[n] ** (p.size - 2) / np.prod(p[n] - np.delete(p, n))
@@ -196,21 +194,6 @@ def sop_integral(sc: SopScenario) -> SopResult:
 # closed form
 # ---------------------------------------------------------------------------
 
-def elementary_integral(i: int, a1: float, c: float) -> float:
-    """int_0^inf exp(-a1*x) / (x+c)**i dx for integer i >= 1, a1, c > 0.
-
-    Reduction to the exponential integral; the exp(a1*c)*Ei(-a1*c)
-    product is evaluated in fused form so large a1*c cannot overflow.
-    This is pole_integral with the one pole c.
-    """
-    if _integer("i", i) < 1 or a1 <= 0 or c <= 0:
-        raise InvalidInputError(f"need i >= 1, a1 > 0, c > 0; got {i}, {a1}, {c}")
-    _, terms, _ = _pole_integral_addends(np.array([a1], dtype=float),
-                                         np.array([c], dtype=float),
-                                         np.array([[i]]))
-    return math.fsum(terms.tolist())
-
-
 def _merge_poles(poles, mults):
     """Bit-equal poles merged into nodes of summed multiplicity.
 
@@ -303,7 +286,9 @@ def pole_integral(a1: float, poles, mults) -> float:
     """int_0^inf exp(-a1 x) prod_t (x + poles[t])**(-mults[t]) dx for
     a1 > 0, positive poles and integer multiplicities >= 0.
 
-    Partial fractions reduce it to elementary_integral terms.  Bit-equal
+    Partial fractions reduce it to terms in powers of the poles and
+    exp(a1 c) Ei(-a1 c), the product fused so that a large a1 c cannot
+    overflow (``_pole_integral_addends``).  Bit-equal
     poles merge into one pole of summed multiplicity, and a pole of
     multiplicity 0 is absent; distinct poles closer than
     MIN_RELATIVE_POWER_GAP (relative) raise DegeneratePowersError,
@@ -320,7 +305,7 @@ def pole_integral(a1: float, poles, mults) -> float:
         return 1.0 / a1
     if a1 <= 0 or nodes[0] <= 0:
         raise InvalidInputError(
-            f"need i >= 1, a1 > 0, c > 0; got {int(merged[0, 0])}, {a1}, "
+            f"need a1 > 0 and poles > 0; got a1 {a1}, pole "
             f"{float(nodes[0])}")
     _, terms, _ = _pole_integral_addends(np.array([a1], dtype=float), nodes,
                                          merged)
@@ -357,8 +342,9 @@ def sop_closed_form(sc: SopScenario) -> SopResult:
     partial fractions, including their cancellation when a destination
     pole kappa_n nears an eavesdropper pole lam_j; prefer sop_integral
     when it is large.  Where the constants or addends overflow, at rates
-    of a few hundred bits or source powers near 1e+-300, NumericalError
-    is raised, and past MAX_CLOSED_FORM_TERMS pole integrals
+    of a few hundred bits or source powers near 1e+-300, or an
+    exponential-integral argument is subnormal, NumericalError is
+    raised, and past MAX_CLOSED_FORM_TERMS pole integrals
     ResourceLimitError.
     """
     s = sc.scenario
@@ -400,6 +386,14 @@ def sop_closed_form(sc: SopScenario) -> SopResult:
         nodes, merged = _merge_poles(np.concatenate([lam, kappa]),
                                      mults.reshape(-1, 2 * n))
         a1 = np.repeat([psi for _, psi in groups], n + 1)
+        # a subnormal argument a1 c keeps only a few bits, and the
+        # partial fractions' cancelling log terms then lose the result
+        smallest = float(a1.min()) * float(nodes[0])
+        if smallest < _TINY:
+            raise NumericalError(
+                f"closed form's exponential-integral argument {smallest:.3g} "
+                f"underflows (noise too small against p_source {ps}); "
+                "use sop_integral")
         if math.isfinite(float(a1.max()) * float(nodes[-1])):
             row, terms, mags = _pole_integral_addends(a1, nodes, merged)
             w = (const[:, None] * weight).ravel()[row]

@@ -196,6 +196,37 @@ class TestSop:
         assert "p_source" in res.output
         assert "Traceback" not in res.output
 
+    def test_subnormal_noise_closed_form_reported_unavailable(self, runner,
+                                                             tmp_path):
+        # noise / p_source is subnormal at noise 1e-320, where the
+        # closed form's cancelling terms used to give p_out 1.0 against
+        # 0.8339; Monte Carlo refuses noise that small, so --method all
+        # runs where the arguments a1 c are subnormal but sampling works
+        def write(name, p_max, sigma2):
+            s = Scenario(n_jammers=2, n_eavesdroppers=1, p_source=2.0,
+                         p_max=p_max, sigma2_dest=sigma2,
+                         sigma2_eaves=[sigma2])
+            save_scenario(tmp_path / name, s)
+            return str(tmp_path / name)
+
+        res = runner.invoke(main, ["sop", "--rate", "1", "--method", "closed",
+                                   "--scenario",
+                                   write("quiet.json", [0.8, 2.1], 1e-320)])
+        assert res.exit_code == EXIT_FAILURE
+        assert "underflow" in res.output and "sop_integral" in res.output
+        assert "Traceback" not in res.output
+        res = runner.invoke(main, ["sop", "--rate", "1", "--method", "all",
+                                   "--samples", "200000", "--seed", "1",
+                                   "--scenario",
+                                   write("loud.json", [80.0, 210.0], 1e-306),
+                                   "--json"])
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        assert doc["closed"] is None
+        assert "underflow" in doc["closed_unavailable"]
+        assert doc["mc"] == pytest.approx(doc["integral"],
+                                          abs=4 * doc["mc_std_error"])
+
     def test_overflowing_closed_form_reported_unavailable(self, runner):
         # at rate 500 the closed form overflows; --method all reports it
         # like its other refusals, and the document stays strict JSON

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopjam import sample_channels
+from coopjam import gp, sample_channels
 from coopjam.errors import (AccuracyError, DomainError, InvalidInputError,
                             NumericalError)
 from coopjam.gp import (GpProblem, Monomial, Posynomial, _condensed_ratio_rows,
@@ -217,13 +217,14 @@ class TestGpSolve:
             with pytest.raises(InvalidInputError):
                 GpProblem(objective, log_coeffs, exponents, sizes, [2.0])
 
-    def test_newton_budget_raises_with_estimate(self):
+    def test_newton_budget_raises_with_estimate(self, monkeypatch):
         prob = GpProblem(
             objective=Monomial(coeff=1.0, exponents=np.array([0.0, 1.0])),
             log_coeffs=[0.0, 0.0], exponents=[[1.0, -1.0], [-1.0, -1.0]],
             sizes=[2], warm_start=np.array([3.0, 6.0]))
-        with pytest.raises(AccuracyError) as exc:
-            gp_solve(prob, tol=1e-10, max_newton=3)
+        monkeypatch.setattr(gp, "_MAX_NEWTON", 3)
+        with pytest.raises(AccuracyError, match=r"budget \(3\)") as exc:
+            gp_solve(prob, tol=1e-10)
         est = exc.value.best_estimate
         assert est is not None and est.x.shape == (2,)
 

@@ -185,11 +185,11 @@ class TestQuadrature:
             return np.sin(50 * x) * np.exp(-0.01 * x)
 
         with pytest.raises(AccuracyError) as err:
-            integrate_semi_infinite(f, 0.0, rel_tol=1e-13, max_subdivisions=3)
+            integrate_semi_infinite(f, 0.0, rel_tol=1e-13)
         assert err.value.best_estimate is not None
         # each bisection hands two new intervals to the integrand and
         # grows the partition, which the cap bounds, by one
-        assert 1 + sum(calls[1:]) // 2 == 3
+        assert 1 + sum(calls[1:]) // 2 == numerics._MAX_SUBDIVISIONS
 
     def test_nonfinite_integrand_raises(self):
         with pytest.raises(NumericalError):
@@ -220,19 +220,6 @@ class TestQuadrature:
         for rel_tol in (-1.0, np.nan, np.inf):
             with pytest.raises(InvalidInputError):
                 integrate_semi_infinite(lambda x: 0.0, 0.0, rel_tol=rel_tol)
-        with pytest.raises(InvalidInputError):
-            integrate_semi_infinite(lambda x: 0.0, 0.0, max_subdivisions=0)
-
-    def test_fractional_max_subdivisions_rejected(self):
-        with pytest.raises(InvalidInputError):
-            integrate_semi_infinite(lambda x: np.exp(-x), 0.0,
-                                    max_subdivisions=2.5)
-
-    def test_nan_max_subdivisions_rejected(self):
-        # a NaN cap would compare False and switch the cap off
-        with pytest.raises(InvalidInputError):
-            integrate_semi_infinite(lambda x: np.exp(-x), 0.0,
-                                    max_subdivisions=float("nan"))
 
 
 def test_import_does_not_load_scipy():

@@ -87,7 +87,7 @@ class TestAlgorithmA:
     def test_result_is_exact_rate_at_allocation(self, scenario3x2):
         g = feasible_draws(scenario3x2, seed=32, count=1)[0]
         alloc, rate, _ = algorithm_a(scenario3x2, g)
-        alloc.validate_for(scenario3x2)
+        assert (alloc.p <= scenario3x2.p_max).all()
         assert rate == secrecy_rate(scenario3x2, g, alloc)
 
     def test_initialisation_insensitive(self, scenario3x2):
@@ -134,6 +134,40 @@ class TestAlgorithmA:
             algorithm_a(scenario3x2, g, p0=scenario3x2.p_max, max_iter=300)
         assert solves and not raised, raised[:3]
 
+    # jammers loud at both eavesdroppers, quiet at the destination: the
+    # ascent from half power beats the best single jammer after one round,
+    # so no challenger run replaces its trace
+    LOUD_AT_EAVES = ChannelGains(h_d=1.0, h_e=[2.0, 3.0],
+                                 g_d=[0.01, 0.01, 0.01],
+                                 g_e=[[5.0, 1.0, 1.0], [1.0, 5.0, 1.0]])
+
+    def test_trace_stops_at_max_iter(self, scenario3x2):
+        g = self.LOUD_AT_EAVES
+        _, _, trace = algorithm_a(scenario3x2, g, max_iter=1)
+        assert trace.stop_reason == "max_iter" and not trace.converged
+        # the start and the one round
+        assert trace.rates.dtype == float and trace.rates.size == 2
+
+    def test_error_carries_trace_of_rounds_done(self, scenario3x2,
+                                                monkeypatch):
+        g = self.LOUD_AT_EAVES
+        _, _, one_round = algorithm_a(scenario3x2, g, max_iter=1)
+        real = power_opt.gp_solve
+        calls = []
+
+        def second_fails(problem, **kwargs):
+            calls.append(problem)
+            if len(calls) == 2:
+                raise NumericalError("injected")
+            return real(problem, **kwargs)
+
+        monkeypatch.setattr(power_opt, "gp_solve", second_fails)
+        with pytest.raises(NumericalError, match="injected") as err:
+            algorithm_a(scenario3x2, g)
+        trace = err.value.trace
+        assert trace.stop_reason == "error" and not trace.converged
+        np.testing.assert_array_equal(trace.rates, one_round.rates)
+
     def test_argument_validation(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=0)
         with pytest.raises(InvalidInputError):
@@ -166,7 +200,7 @@ class TestAlgorithmB:
     def test_rate_matches_allocation(self, scenario3x2):
         g = feasible_draws(scenario3x2, seed=35, count=1)[0]
         alloc, rate = algorithm_b(scenario3x2, g)
-        alloc.validate_for(scenario3x2)
+        assert (alloc.p <= scenario3x2.p_max).all()
         assert rate == secrecy_rate(scenario3x2, g, alloc)
 
     def test_agrees_with_algorithm_a(self, scenario3x2):
@@ -535,7 +569,7 @@ class TestFeasibilityAgreement:
         assert verdict.feasible == (rate > 0)
 
 
-def _kkt_reference(scenario, gains, p_star, n_probes=50, seed=0):
+def _kkt_reference(scenario, gains, p_star):
     """kkt_check as a loop over points, as it was before it evaluated
     stacked allocations: each condensed ratio is its numerator
     posynomial over the condensed denominator monomial, and every point
@@ -574,10 +608,9 @@ def _kkt_reference(scenario, gains, p_star, n_probes=50, seed=0):
         d_hat = (gamma_hat(up) - gamma_hat(dn)) / (2 * h)
         gradient_residual = max(gradient_residual,
                                 float(np.max(np.abs(d_exact - d_hat))))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     lo = np.full(scenario.n_jammers, p_floor)
-    probes = rng.uniform(lo, scenario.p_max,
-                         size=(n_probes, scenario.n_jammers))
+    probes = rng.uniform(lo, scenario.p_max, size=(50, scenario.n_jammers))
     gaps = np.array([gamma_hat(q) - gamma_exact(q) for q in probes])
     boundary_derivative_min = None
     inactive = np.flatnonzero(~interior)
@@ -594,7 +627,7 @@ def _kkt_reference(scenario, gains, p_star, n_probes=50, seed=0):
         equality_residual=equality_residual,
         gradient_residual=gradient_residual,
         bound_gap_max=float(gaps.max()), bound_gap_min=float(gaps.min()),
-        boundary_derivative_min=boundary_derivative_min, n_probes=n_probes)
+        boundary_derivative_min=boundary_derivative_min)
 
 
 def _kkt_cases():
@@ -640,7 +673,6 @@ class TestKktReport:
                 b = want.boundary_derivative_min
                 assert abs(got.boundary_derivative_min - b) <= \
                     6.7e-7 * max(1.0, abs(b))
-            assert got.n_probes == want.n_probes
 
     def test_stationary_point_passes(self, scenario3x2):
         g = feasible_draws(scenario3x2, seed=42, count=1)[0]
@@ -650,7 +682,6 @@ class TestKktReport:
         assert rep.gradient_residual < 1e-5
         assert rep.bound_gap_min >= -1e-9
         assert rep.bound_gap_max >= rep.bound_gap_min
-        assert rep.n_probes == 50
 
     def test_boundary_slope_reported_for_zeroed_jammer(self, scenario3x2):
         g = ChannelGains(h_d=2.0, h_e=[1.5, 1.0], g_d=[0.2, 0.3, 1.0],
@@ -660,11 +691,6 @@ class TestKktReport:
         # switching the dead jammer back on must not look profitable
         assert rep.boundary_derivative_min is not None
         assert rep.boundary_derivative_min >= -1e-6
-
-    def test_zero_probes_rejected(self, scenario3x2):
-        g = feasible_draws(scenario3x2, seed=43, count=1)[0]
-        with pytest.raises(InvalidInputError):
-            kkt_check(scenario3x2, g, scenario3x2.p_max / 2, n_probes=0)
 
     def test_no_boundary_report_when_all_active(self, scenario3x2):
         g = feasible_draws(scenario3x2, seed=43, count=1)[0]

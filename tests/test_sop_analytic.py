@@ -17,9 +17,8 @@ from coopjam import (DegeneratePowersError, InvalidInputError,
                      sop_closed_form, sop_closed_form_n2m1, sop_integral)
 from coopjam.numerics import integrate_semi_infinite
 from coopjam.sop_analytic import (_pdf_dest, cdf_gamma_d, cdf_gamma_emax,
-                                  coeff_a, elementary_integral,
-                                  expansion_term_count, min_relative_gap,
-                                  pole_integral)
+                                  coeff_a, expansion_term_count,
+                                  min_relative_gap, pole_integral)
 from tests.conftest import conditioned_sop_scenario
 
 
@@ -166,19 +165,14 @@ class TestIntegralReductions:
                 a1 = float(rng.uniform(0.05, 3.0))
                 c = float(rng.uniform(0.1, 4.0))
                 want = self.quad(lambda x: np.exp(-a1 * x) / (x + c) ** i)
-                assert elementary_integral(i, a1, c) == \
+                assert pole_integral(a1, (c,), (i,)) == \
                     pytest.approx(want, rel=1e-9)
 
     def test_elementary_large_argument(self):
         # would overflow if exp(a1*c) and Ei(-a1*c) were separate factors
-        val = elementary_integral(1, 50.0, 30.0)
+        val = pole_integral(50.0, (30.0,), (1,))
         want = self.quad(lambda x: np.exp(-50 * x) / (x + 30.0))
         assert val == pytest.approx(want, rel=1e-9)
-
-    def test_elementary_validation(self):
-        for bad in [(0, 1.0, 1.0), (1, -1.0, 1.0), (1, 1.0, 0.0), (1.5, 1.0, 1.0)]:
-            with pytest.raises(InvalidInputError):
-                elementary_integral(*bad)
 
     # (a1, poles, multiplicities)
     POLE_CASES = [
@@ -217,7 +211,8 @@ class TestIntegralReductions:
         pole_integral(0.5, (1.0, 1.0 + 1e-9, 2.0), (1, 0, 1))
         for bad in [(0.5, (1.0,), (-1,)), (0.5, (1.0, 2.0), (1,)),
                     (0.5, (1.0,), (1.5,)), (0.0, (1.0,), (1,)),
-                    (0.5, (-1.0, 2.0), (1, 1)), (0.0, (1.0,), (0,))]:
+                    (0.5, (-1.0, 2.0), (1, 1)), (0.0, (1.0,), (0,)),
+                    (-1.0, (1.0,), (1,)), (1.0, (0.0,), (1,))]:
             with pytest.raises(InvalidInputError):
                 pole_integral(*bad)
 
@@ -265,6 +260,23 @@ class TestOutageRoutes:
         sc = sop(p=(1.0, 2.5), ps=0.05, rate=1023.0)
         with pytest.raises(NumericalError, match="sop_integral"):
             sop_closed_form(sc)
+
+    @pytest.mark.parametrize("scale, sig", [(1e120, 1e-200), (1.0, 1e-320)])
+    def test_subnormal_ei_argument_raises(self, scale, sig):
+        # every input is a normal float, but noise / p_source is
+        # subnormal, so the exponential-integral arguments keep a few
+        # bits and the partial fractions used to give p_out 1.0
+        sc = sop(p=(0.8 * scale, 2.1 * scale), ps=2.0 * scale, rate=1.0,
+                 sig_d=sig, sig_e=np.array([sig]))
+        with pytest.raises(NumericalError, match="underflow.*sop_integral"):
+            sop_closed_form(sc)
+        # Monte Carlo refuses noise this small; the closed form at
+        # noise 1e-300, whose arguments are normal, is the oracle
+        near = sop_closed_form(sop(p=(0.8, 2.1), ps=2.0, rate=1.0,
+                                   sig_d=1e-300, sig_e=np.array([1e-300])))
+        ref = sop_integral(sc)
+        assert abs(ref.p_out - near.p_out) <= 1e-9
+        assert ref.p_out == pytest.approx(0.83385124597, abs=1e-9)
 
     def test_special_case_shape_guard(self):
         with pytest.raises(InvalidInputError):
