@@ -56,6 +56,7 @@ INTEGRAL_REL_TOL = 1e-10
 # quadrature never exceeded 1.8 eps times that sum; 32 eps leaves an
 # 18-fold margin.
 _CLOSED_FORM_ROUNDING = 32 * float(np.finfo(float).eps)
+_HUGE = float(np.finfo(float).max)
 
 
 def min_relative_gap(powers) -> float:
@@ -168,18 +169,35 @@ def sop_integral(sc: SopScenario) -> SopResult:
     accurate at a tie as away from one.  The quadrature runs to relative
     tolerance INTEGRAL_REL_TOL.
 
+    It runs in the integrand's own unit of SINR, x = s*y with
+    s = p_source / max(mu*sigma2_dest + sum_m sigma2_m, min_n P_n): the
+    smaller of the decay length of the exponentials and the distance of
+    the farthest pole -p_source/P_n, so the mass sits at y of order 1
+    at any source power.  The laws at x = s*y are the laws at source
+    power p_source/s evaluated at y, and s times the density at s*u is
+    the density at p_source/s, so the integrand in y is formed from
+    p_source/s and nu/s without forming s, which can overflow.
+
     ``error_estimate`` is mu times the quadrature's error estimate.
     """
     s = sc.scenario
     mu = 2.0 ** sc.rate
     nu = 2.0 ** (-sc.rate) - 1.0
-    p, ps, sig_d, sig_e = s.p_max, s.p_source, s.sigma2_dest, s.sigma2_eaves
+    p, sig_e = s.p_max, s.sigma2_eaves
+    sig_d = float(s.sigma2_dest)
+    # formed in Python floats, which overflow to inf without a warning,
+    # and capped at the largest float: p_source/s overflows only with the
+    # noise, and 1/s only where the SINR unit is below every float and
+    # the outage is 1 to double precision
+    ps_over_s = min(max(mu * sig_d + sum(sig_e.tolist()), float(p.min())),
+                    _HUGE)
+    nu_over_s = nu * min(ps_over_s / float(s.p_source), _HUGE)
 
-    def integrand(x):
-        return (_cdf_sinr_max(x, p, ps, sig_e)
-                * _pdf_dest(mu * (x - nu), p, ps, sig_d))
+    def integrand(y):
+        return (_cdf_sinr_max(y, p, ps_over_s, sig_e)
+                * _pdf_dest(mu * (y - nu_over_s), p, ps_over_s, sig_d))
 
-    # near rate 1024 the destination density's u = mu (x - nu)
+    # near rate 1024 the destination density's u = mu (y - nu/s)
     # overflows to inf, where the density is 0; an integrand that
     # overflows to inf or NaN raises NumericalError inside the quadrature
     with np.errstate(over="ignore", invalid="ignore"):

@@ -2,6 +2,8 @@
 integral reductions and the closed forms."""
 
 import functools
+import itertools
+import math
 import warnings
 
 import mpmath
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coopjam.sop_analytic as sop_analytic
-from coopjam import (DegeneratePowersError, InvalidInputError,
+from coopjam import (CoopJamError, DegeneratePowersError, InvalidInputError,
                      NumericalError, ResourceLimitError, Scenario,
                      SopScenario, estimate_sop,
                      sop_closed_form, sop_closed_form_n2m1, sop_integral)
@@ -394,19 +396,23 @@ def ladder(n, ps_db, rate):
 # passed on it.
 # The n4m4 closed form sits on the pole-proximity loss (ROADMAP item 4),
 # which its error_estimate now covers: a fix for that loss is expected to
-# move it, and should re-record it.  The integral halves, and PINNED_CDF
-# below, were recorded when the SINR laws took the product form over the
-# jamming sum's Laplace transform (no partial fractions), after
-# TestIntegralOracle passed unchanged on it.
+# move it, and should re-record it.  PINNED_CDF below was recorded when
+# the SINR laws took the product form over the jamming sum's Laplace
+# transform (no partial fractions), after TestIntegralOracle passed
+# unchanged on it.  The integral halves were recorded again when
+# sop_integral came to integrate in the integrand's own unit of SINR,
+# after TestIntegralOracle, TestEstimateHonesty and TestIntegralUnit
+# passed on it: p_out moved by at most 1.1e-16, the error estimates
+# by more, since the quadrature now stops after fewer rounds.
 PINNED_ROUTES = {
     "n2m1_sweep": (("0x1.29e075c77ab79p-1", "0x1.4626efe9d24e9p-36"),
-                   ("0x1.29e075c77a578p-1", "0x1.ce0c78959df61p-40")),
+                   ("0x1.29e075c77a578p-1", "0x1.cbf6ea3a155bdp-40")),
     "n3m3_unequal_noise": (("0x1.eaa86038e01a0p-1", "0x1.5114624401fbbp-29"),
-                           ("0x1.eaa86038dbb6dp-1", "0x1.cc5365bfe8d23p-51")),
+                           ("0x1.eaa86038dbb6cp-1", "0x1.d17b272212a08p-39")),
     "n4m4_ladder_0db": (("0x1.fe041b13834d3p-1", "0x1.69a93877585d1p-1"),
-                        ("0x1.fdee988147344p-1", "0x1.0750d7d18da3fp-44")),
+                        ("0x1.fdee988147344p-1", "0x1.cd13e19c66a05p-45")),
     "n2m3": (("0x1.d0e86d4cb7d33p-1", "0x1.366890dab9eefp-30"),
-             ("0x1.d0e86d4cbbbb1p-1", "0x1.ae18ad10fcd34p-40")),
+             ("0x1.d0e86d4cbbbb1p-1", "0x1.961cf4bb4ddd6p-44")),
 }
 
 PINNED_SETTINGS = {
@@ -544,6 +550,78 @@ class TestEstimateHonesty:
                 closed.error_estimate + quad.error_estimate, sc
         assert ties >= 40 and at_source >= 30
 
+    def test_integral_gap_within_its_estimate(self):
+        # the quadrature's own estimate against a 30-digit quadrature of
+        # the same integral, beyond the fixed ORACLE_SETTINGS
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            sc = _random_outage_setting(rng)
+            res = sop_integral(sc)
+            gap = abs(res.p_out - _sop_oracle(sc))
+            assert gap <= max(res.error_estimate, 1e-13), sc
+            assert gap <= 1e-12, sc
+
+
+# two jammers at 0.8 and 2.1 W against one eavesdropper, noise 0.1 and
+# rate 1: at high source power the outage tends to the jamming-limited
+# value, which the closed form gives at 1e12 W
+HIGH_SNR_POWERS = (0.8, 2.1)
+
+
+class TestIntegralUnit:
+    """sop_integral integrates in the integrand's own unit of SINR, so
+    no input scale leaves the mass where the quadrature never looks."""
+
+    @pytest.mark.parametrize("ps", [1e8, 1e12, 1e100, 1e300])
+    def test_high_source_power(self, ps):
+        # the closed form overflows from about 1e77 W here; at 1e12 W it
+        # is within 1e-12 of the high-SNR limit, while at 1e8 W the
+        # outage is still 8e-9 above it
+        ref = sop_closed_form(sop(p=HIGH_SNR_POWERS, ps=min(ps, 1e12),
+                                  rate=1.0))
+        assert ref.error_estimate < 1e-10
+        got = sop_integral(sop(p=HIGH_SNR_POWERS, ps=ps, rate=1.0))
+        assert abs(got.p_out - ref.p_out) <= 1e-9
+
+    def test_extreme_inputs(self):
+        # every input scale a Scenario accepts gives a probability or a
+        # library error, and no warning on the way
+        negligible_jamming = 0
+        for ps, sig, rate, k in itertools.product(
+                (1e-300, 1e-10, 1.0, 1e10, 1e300),
+                (1e-320, 1e-300, 1e-10, 1.0, 1e10, 1e300),
+                (0.01, 1.0, 100.0, 1023.0), (1e-300, 1.0, 1e300)):
+            sc = sop(p=(0.8 * k, 2.1 * k), ps=ps, rate=rate, sig_d=sig,
+                     sig_e=np.array([sig]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    res = sop_integral(sc)
+                except CoopJamError:
+                    continue
+            assert 0.0 <= res.p_out <= 1.0, sc
+            assert math.isfinite(res.error_estimate), sc
+            if k == 1e-300 and sig >= 1e-10 and ps >= 1e10 * sig:
+                # jamming 1e-290 of the noise or less and SNR >= 100 dB:
+                # outage is Pr[h_d < mu h_e] = mu / (1 + mu)
+                negligible_jamming += 1
+                mu = 2.0 ** rate
+                assert abs(res.p_out - mu / (1.0 + mu)) <= 1e-8, sc
+        assert negligible_jamming == 24
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-9, 9))
+    @settings(max_examples=30, deadline=None)
+    def test_joint_scale_invariance(self, seed, k):
+        # scaling every power and noise variance by one factor leaves
+        # every SINR, and so the outage, unchanged
+        sc = _random_outage_setting(np.random.default_rng(seed))
+        s, c = sc.scenario, 10.0 ** k
+        scaled = sop(n=s.n_jammers, m=s.n_eavesdroppers, p=s.p_max * c,
+                     ps=s.p_source * c, rate=sc.rate,
+                     sig_d=s.sigma2_dest * c, sig_e=s.sigma2_eaves * c)
+        assert abs(sop_integral(scaled).p_out - sop_integral(sc).p_out) \
+            <= 1e-12
+
 
 class TestWorkCounts:
     def count_calls(self, monkeypatch, name):
@@ -578,6 +656,28 @@ class TestWorkCounts:
         sop_integral(ladder(3, 10.0, 1.0))
         sop_closed_form(ladder(3, 10.0, 1.0))
         assert len(seen) == 0
+
+    def test_integral_evaluations(self, monkeypatch):
+        # integrand evaluations are deterministic, so this guards the
+        # quadrature's work without timing it; 1560 is this route's
+        # count, and integrating the same settings in units of x = 1
+        # takes 2340
+        evaluations = []
+        real = sop_analytic.integrate_semi_infinite
+
+        def counted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            evaluations.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(sop_analytic, "integrate_semi_infinite", counted)
+        for setting in PINNED_SETTINGS.values():
+            sop_integral(setting())
+        for ps_db in (0.0, 30.0):
+            for rate in (0.01, 1.0):
+                sop_integral(ladder(4, ps_db, rate))
+        assert len(evaluations) == 8
+        assert sum(evaluations) <= 1560
 
 
 powers = st.tuples(st.floats(0.3, 3.0),
