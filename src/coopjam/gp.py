@@ -1,24 +1,22 @@
 """Posynomial machinery and the successive-approximation building blocks.
 
 The secrecy-rate objective is a ratio of posynomials in the jammer
-powers, which is not directly a geometric program.  The denominator
-posynomial is condensed into a single monomial by the weighted AM-GM
+powers, which is not directly a geometric program.  Each SINR ratio is
+a product of affine factors A_m B / (C E_m) (``_ratio_factors``): the
+denominator factors are condensed into monomials by the weighted AM-GM
 inequality (evaluated at an expansion point, where the bound is tight),
-turning each SINR-ratio constraint into a valid GP constraint.
-
-The condensed ratios exist in one form, dense term rows for all
-eavesdroppers at once (``_condensed_ratio_rows``): the SCA program
-builder appends the t column to them, and ``power_opt.kkt_check``
-evaluates them at stacked points.  Programs are held as dense arrays
-too, every constraint term's log coefficient and exponent row stacked
-constraint by constraint, and the solver, a primal-dual interior-point
-method in log space, reads them directly.  ``Monomial``, ``Posynomial``
-and ``condense`` work on single expressions given term by term.
+and B is bounded by one auxiliary variable, turning each SINR-ratio
+constraint into a valid GP constraint.  The SCA program builder and
+``power_opt.kkt_check`` both read the ratios in that factor form.
+Programs are held as dense arrays, every constraint term's log
+coefficient and exponent row stacked constraint by constraint, and the
+solver, a primal-dual interior-point method in log space, reads them
+directly.  ``Monomial``, ``Posynomial`` and ``condense`` work on single
+expressions given term by term.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -148,60 +146,35 @@ def condense(g: Posynomial, x_hat):
 # SINR-ratio posynomials
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _product_layout(n: int):
-    """Exponent rows of (sum_i a_i p_i + a_n + a_{n+1}) *
-    (sum_j b_j p_j + b_n), one per (i, j) pair, ordered by exponent
-    vector (stably, so like terms keep their (i, j) order), and the
-    permutation taking the flattened (i, j) grid to that order."""
-    e_a = np.vstack([np.eye(n), np.zeros((2, n))])
-    e_b = np.vstack([np.eye(n), np.zeros((1, n))])
-    e = (e_a[:, None, :] + e_b[None, :, :]).reshape(-1, n)
-    order = np.lexsort(e.T[::-1])
-    e = e[order]
-    e.setflags(write=False)
-    order.setflags(write=False)
-    return e, order
+def _ratio_factors(scenario: Scenario, gains: ChannelGains):
+    """Coefficient rows, over the terms (p_1..p_N, 1), of the affine
+    factors of every eavesdropper's SINR ratio
 
+        (1 + SINR_e_m) / (1 + SINR_d) = A_m(p) B(p) / (C(p) E_m(p)):
 
-def _ratio_coefficients(scenario: Scenario, gains: ChannelGains):
-    """(numerator, denominator) term coefficients of every eavesdropper's
-    SINR ratio, shape (M, (N+2)(N+1)), in ``_product_layout`` order.
-
-    Eavesdropper m's ratio (1 + SINR_e_m) / (1 + SINR_d) is
-    (g_e[m] p + s_e[m] + ps h_e[m]) (g_d p + s_d)
-    / ((g_d p + ps h_d + s_d) (g_e[m] p + s_e[m])).
+    A (M, N+1) = g_e[m] p + s_e[m] + ps h_e[m],  B (N+1,) = g_d p + s_d,
+    C (N+1,) = g_d p + ps h_d + s_d  and  E (M, N+1) = g_e[m] p + s_e[m].
     Zero gains leave zero coefficients in place.
     """
-    _, order = _product_layout(scenario.n_jammers)
-    m = scenario.n_eavesdroppers
     ps, s_d, s_e = scenario.p_source, scenario.sigma2_dest, scenario.sigma2_eaves
-    num_a = np.column_stack([gains.g_e, s_e, ps * gains.h_e])
-    num_b = np.append(gains.g_d, s_d)
-    den_a = np.append(gains.g_d, [ps * gains.h_d, s_d])
-    den_b = np.column_stack([gains.g_e, s_e])
-    num = (num_a[:, :, None] * num_b).reshape(m, -1)[:, order]
-    den = (den_a[:, None] * den_b[:, None, :]).reshape(m, -1)[:, order]
-    return num, den
+    return (np.column_stack([gains.g_e, s_e + ps * gains.h_e]),
+            np.append(gains.g_d, s_d),
+            np.append(gains.g_d, ps * gains.h_d + s_d),
+            np.column_stack([gains.g_e, s_e]))
 
 
-def _condensed_ratio_rows(scenario: Scenario, gains: ChannelGains,
-                          p: np.ndarray):
-    """Every eavesdropper's SINR ratio with its denominator condensed at
-    the positive point ``p``, as term rows.
+def _condensed_denominators(c: np.ndarray, e: np.ndarray, p: np.ndarray):
+    """Every denominator C(p) E_m(p) condensed at the positive point
+    ``p``, as the product of C's and E_m's own condensations.
 
-    Returns log coefficients b (M, K), -inf where a zero gain leaves the
-    numerator term out, and exponents a (M, K, N), K = (N+2)(N+1) in
-    ``_product_layout`` order: condensed ratio m at q is
-    sum_k exp(b[m, k] + a[m, k] @ log q).
+    Returns log coefficients log_den (M,) and exponents e_den (M, N):
+    condensed ratio m at q is A_m(q) B(q) / exp(log_den[m] + e_den[m] @ log q).
     """
-    e, _ = _product_layout(scenario.n_jammers)
-    num, den = _ratio_coefficients(scenario, gains)
+    n = p.size
     with np.errstate(divide="ignore"):
-        log_num = np.log(num)
-        log_den = np.log(den)
-    log_hat, e_hat, _ = _condense_rows(log_den, e, np.log(p))
-    return log_num - log_hat[:, None], e - e_hat[:, None, :]
+        log_hat, e_hat, _ = _condense_rows(np.log(np.vstack([c, e])),
+                                           np.eye(n + 1, n), np.log(p))
+    return log_hat[0] + log_hat[1:], e_hat[0] + e_hat[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +221,12 @@ def default_power_floor(scenario: Scenario) -> float:
 def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde):
     """GP whose solution improves the secrecy rate from ``p_tilde``.
 
-    Variables are (p_1..p_N, t); t upper-bounds every condensed SINR
-    ratio, so minimising t maximises the approximate secrecy rate.
-    Constraints: one per eavesdropper (its numerator's nonzero terms
-    over its condensed denominator and t), then p_i <= p_max[i] and
-    p_floor <= p_i for each jammer, p_floor from default_power_floor.
+    Variables are (p_1..p_N, t, v); t upper-bounds every condensed SINR
+    ratio, so minimising t maximises the approximate secrecy rate, and v
+    bounds the ratios' common factor B (``_ratio_factors``).
+    Constraints: one per eavesdropper, A_m v / (C E_m t) <= 1 with C and
+    E_m condensed at ``p_tilde``, then B / v <= 1, then p_i <= p_max[i]
+    and p_floor <= p_i for each jammer, p_floor from default_power_floor.
     """
     _check_dims(scenario, gains)
     n = scenario.n_jammers
@@ -266,29 +240,39 @@ def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde):
     p_int = np.clip(p_tilde, p_floor * (1 + 1e-6),
                     scenario.p_max * (1 - 1e-9))
 
-    # ratio rows: numerator term / condensed denominator / t
-    b_ratio, a_p = _condensed_ratio_rows(scenario, gains, p_int)
-    a_ratio = np.empty(a_p.shape[:2] + (n + 1,))
-    a_ratio[:, :, :n] = a_p
-    a_ratio[:, :, n] = -1.0
+    a, b, c, e = _ratio_factors(scenario, gains)
+    log_den, e_den = _condensed_denominators(c, e, p_int)
+    m = log_den.size
+    # factor rows, one term per column of a and b: first A_m's terms
+    # times v over the condensed denominator and t, then B's terms over v
+    with np.errstate(divide="ignore"):
+        b_fac = np.log(np.vstack([a, b]))
+    b_fac[:m] -= log_den[:, None]
+    a_fac = np.zeros((m + 1, n + 1, n + 2))
+    a_fac[:, :, :n] = np.eye(n + 1, n)
+    a_fac[:m, :, :n] -= e_den[:, None, :]
+    a_fac[:m, :, n] = -1.0
+    a_fac[:m, :, n + 1] = 1.0
+    a_fac[m, :, n + 1] = -1.0
     # box rows, per jammer: p_i / p_max[i] <= 1, then p_floor / p_i <= 1
     b_box = np.empty(2 * n)
     b_box[0::2] = -np.log(scenario.p_max)
     b_box[1::2] = math.log(p_floor)
-    a_box = np.zeros((2 * n, n + 1))
+    a_box = np.zeros((2 * n, n + 2))
     a_box[0::2, :n] = np.eye(n)
     a_box[1::2, :n] = -np.eye(n)
 
-    # t starts just above the worst condensed ratio at p_int
-    ratio = np.exp(b_ratio + a_p @ np.log(p_int)).sum(axis=1)
-    warm = np.append(p_int, float(ratio.max()) * math.exp(0.1))
-    t_col = np.zeros(n + 1)
-    t_col[n] = 1.0
-    keep = b_ratio > -np.inf  # zero-gain terms are left out
+    # v starts just above B(p_int), t just above the worst condensed
+    # ratio there
+    q = np.append(p_int, 1.0)
+    v = float(q @ b) * math.exp(0.1)
+    ratio = (a @ q) * v / np.exp(log_den + e_den @ np.log(p_int))
+    warm = np.append(p_int, [float(ratio.max()) * math.exp(0.1), v])
+    keep = b_fac > -np.inf  # zero-gain terms are left out
     return GpProblem(
-        Monomial(coeff=1.0, exponents=t_col),
-        np.concatenate([b_ratio[keep], b_box]),
-        np.vstack([a_ratio[keep], a_box]),
+        Monomial(coeff=1.0, exponents=np.eye(n + 2)[n]),
+        np.concatenate([b_fac[keep], b_box]),
+        np.vstack([a_fac[keep], a_box]),
         np.concatenate([keep.sum(axis=1), np.ones(2 * n, dtype=int)]), warm)
 
 

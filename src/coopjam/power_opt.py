@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import CoopJamError, InvalidInputError, NumericalError
 from .feasibility import check_positive_secrecy
-from .gp import (_condensed_ratio_rows, build_approx_program,
-                 default_power_floor, gp_solve)
+from .gp import (_condensed_denominators, _ratio_factors,
+                 build_approx_program, default_power_floor, gp_solve)
 from .model import (ChannelGains, PowerAllocation, Scenario, _ArrayEq,
                     _allocations, _check_dims, _integer, _p_vec, _sinrs,
                     secrecy_rate, secrecy_rate_batch)
@@ -311,7 +311,8 @@ def algorithm_b(scenario: Scenario, gains: ChannelGains):
         for t in _piece_stationary_points(ts[k], us[k], ts[k + 1], us[k + 1],
                                           a_src, scenario.sigma2_dest):
             w = (t - ts[k]) / (ts[k + 1] - ts[k])
-            cands.append(((1.0 - w) * ps[k] + w * ps[k + 1])[None, :])
+            cands.append(np.clip(ps[k] + w * (ps[k + 1] - ps[k]), 0.0,
+                                 scenario.p_max)[None, :])
     cands = np.concatenate(cands)
     cands = cands[np.argsort(cands @ gains.g_d, kind="stable")]
     # Unclamped log ratio, so a draw without positive secrecy still gets
@@ -413,7 +414,8 @@ def kkt_check(scenario: Scenario, gains: ChannelGains, p_star) -> KktReport:
     pv = _allocations(scenario, p_star)
     p_floor = default_power_floor(scenario)
     p_ref = np.clip(pv, p_floor * (1 + 1e-6), scenario.p_max)
-    b, a = _condensed_ratio_rows(scenario, gains, p_ref)
+    a, b, c, e = _ratio_factors(scenario, gains)
+    log_den, e_den = _condensed_denominators(c, e, p_ref)
 
     # both ratio forms at the allocations given as the rows of q, (k, M)
     def gamma_exact(q):
@@ -421,7 +423,9 @@ def kkt_check(scenario: Scenario, gains: ChannelGains, p_star) -> KktReport:
         return (1.0 + ge) / (1.0 + gd[:, None])
 
     def gamma_hat(q):
-        return np.exp(b[:, :, None] + a @ np.log(q).T).sum(axis=1).T
+        q1 = np.column_stack([q, np.ones(len(q))])
+        return ((q1 @ a.T) * (q1 @ b)[:, None]
+                / np.exp(log_den + np.log(q) @ e_den.T))
 
     def nudged(coords, h):
         """Copies of p_ref, row r with coordinate coords[r] moved by h[r]."""

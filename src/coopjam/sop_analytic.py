@@ -17,11 +17,13 @@ poles, so exactly tied powers are accepted there too, while distinct
 poles closer than MIN_RELATIVE_POWER_GAP are rejected.  One array
 kernel does that for every pole integral of a call at once, with one
 exponential-integral evaluation over all their arguments; pole_integral
-is its one-integral case.  At rates past a few hundred bits, or source
-powers near 1e+-300, its constants or addends overflow, and where noise
-is so small against the source power that an exponential-integral
-argument is subnormal, its cancelling terms lose the result; both raise
-NumericalError.
+is its one-integral case.  At rates past a few hundred bits, or at
+source powers whose limit falls with N and M (at rate 1 and noise 0.1,
+~1e77 W for P = (0.8, 2.1) W, M = 1; ~1e26 W for P = (0.7, 1.3, 2.9) W,
+M = 3; sop_integral is right past it), its constants or addends
+overflow, and where noise is so small against the source power that an
+exponential-integral argument is subnormal, its cancelling terms lose
+the result; both raise NumericalError.
 The printed two-jammer/one-eavesdropper special case,
 sop_closed_form_n2m1, is spelt independently: it forms its own mu, nu,
 xi and poles kappa_n, lam_n, uses the hypoexponential coefficients A_n
@@ -360,10 +362,12 @@ def sop_closed_form(sc: SopScenario) -> SopResult:
     partial fractions, including their cancellation when a destination
     pole kappa_n nears an eavesdropper pole lam_j; prefer sop_integral
     when it is large.  Where the constants or addends overflow, at rates
-    of a few hundred bits or source powers near 1e+-300, or an
+    of a few hundred bits or at high source powers, or an
     exponential-integral argument is subnormal, NumericalError is
     raised, and past MAX_CLOSED_FORM_TERMS pole integrals
-    ResourceLimitError.
+    ResourceLimitError.  The source-power limit falls as jammers and
+    eavesdroppers are added (see the module docstring); past it, use
+    sop_integral.
     """
     s = sc.scenario
     n = s.n_jammers

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from coopjam import gp, sample_channels
 from coopjam.errors import (AccuracyError, DomainError, InvalidInputError,
                             NumericalError)
-from coopjam.gp import (GpProblem, Monomial, Posynomial, _condensed_ratio_rows,
-                        _product_layout, _ratio_coefficients,
+from coopjam.gp import (GpProblem, Monomial, Posynomial,
+                        _condensed_denominators, _ratio_factors,
                         build_approx_program, condense, gp_solve)
 from coopjam.model import sinr_destination, sinr_eavesdropper
 
@@ -22,11 +22,16 @@ def poly(*terms):
         Monomial(coeff=c, exponents=np.asarray(e, float)) for c, e in terms))
 
 
-def condensed(rows, p):
-    """Every condensed ratio at the positive point ``p``, from the rows
-    ``_condensed_ratio_rows`` returns."""
-    b, a = rows
-    return np.exp(b + a @ np.log(p)).sum(axis=1)
+def condensed(s, g, p_hat):
+    """Every SINR ratio with its denominators condensed at ``p_hat``, as
+    a function of the positive point p."""
+    a, b, c, e = _ratio_factors(s, g)
+    log_den, e_den = _condensed_denominators(c, e, p_hat)
+
+    def at(p):
+        q = np.append(p, 1.0)
+        return (a @ q) * (b @ q) / np.exp(log_den + e_den @ np.log(p))
+    return at
 
 
 def constraint_values(prob, x):
@@ -73,41 +78,37 @@ class TestAlgebra:
 class TestRatioParts:
     def test_term_count_all_positive_gains(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=1)
-        n = scenario3x2.n_jammers
-        e, _ = _product_layout(n)
-        num, den = _ratio_coefficients(scenario3x2, g)
-        assert e.shape == ((n + 2) * (n + 1), n)
-        for m in range(2):
-            assert np.count_nonzero(num[m]) == (n + 2) * (n + 1)
-            assert np.count_nonzero(den[m]) == (n + 2) * (n + 1)
+        n, m = scenario3x2.n_jammers, scenario3x2.n_eavesdroppers
+        a, b, c, e = _ratio_factors(scenario3x2, g)
+        assert a.shape == e.shape == (m, n + 1)
+        assert b.shape == c.shape == (n + 1,)
+        for rows in (a, b, c, e):
+            assert (rows > 0).all()
 
     def test_zero_gains_drop_terms(self, scenario3x2):
         from coopjam import ChannelGains
         g = ChannelGains(h_d=1.0, h_e=[1.0, 1.0], g_d=[0.5, 0.0, 0.5],
                          g_e=[[0.4, 0.4, 0.0], [0.4, 0.4, 0.4]])
-        num, den = _ratio_coefficients(scenario3x2, g)
-        assert np.count_nonzero(num[0]) < np.count_nonzero(num[1])
-        assert (num >= 0).all() and (den >= 0).all()
-        # a zero-gain numerator term is left out of the condensed rows
-        b, _ = _condensed_ratio_rows(scenario3x2, g, scenario3x2.p_max / 2)
-        np.testing.assert_array_equal(b == -np.inf, num == 0.0)
-        assert np.isfinite(b[num > 0]).all()
-
-    def test_terms_sorted_by_exponent(self, scenario3x2):
-        e, _ = _product_layout(scenario3x2.n_jammers)
-        keys = [tuple(row) for row in e]
-        assert keys == sorted(keys)
+        a, b, c, e = _ratio_factors(scenario3x2, g)
+        np.testing.assert_array_equal(a[:, :3] == 0.0, g.g_e == 0.0)
+        np.testing.assert_array_equal(e[:, :3] == 0.0, g.g_e == 0.0)
+        np.testing.assert_array_equal(b[:3] == 0.0, g.g_d == 0.0)
+        np.testing.assert_array_equal(c[:3] == 0.0, g.g_d == 0.0)
+        assert (a[:, 3] > 0).all() and (e[:, 3] > 0).all()
+        assert b[3] > 0 and c[3] > 0
+        # the absent terms drop out of the condensed denominators
+        log_den, e_den = _condensed_denominators(c, e, scenario3x2.p_max / 2)
+        assert np.isfinite(log_den).all() and np.isfinite(e_den).all()
 
     def test_ratio_equals_capacity_ratio(self, scenario3x2):
         rng = np.random.default_rng(7)
         g = sample_channels(scenario3x2, seed=3)
-        e, _ = _product_layout(scenario3x2.n_jammers)
-        num, den = _ratio_coefficients(scenario3x2, g)
+        a, b, c, e = _ratio_factors(scenario3x2, g)
         for m in range(2):
             for _ in range(10):
                 p = rng.uniform(0.01, 1.0, size=3) * scenario3x2.p_max
-                powers = np.prod(p ** e, axis=1)
-                got = (num[m] @ powers) / (den[m] @ powers)
+                q = np.append(p, 1.0)
+                got = (a[m] @ q) * (b @ q) / ((c @ q) * (e[m] @ q))
                 assert got == pytest.approx(
                     capacity_ratio(scenario3x2, g, p, m), rel=1e-12)
 
@@ -156,14 +157,14 @@ class TestCondense:
         g = sample_channels(scenario3x2, seed=4)
         p_hat = scenario3x2.p_max / 2
         rng = np.random.default_rng(11)
-        rows = _condensed_ratio_rows(scenario3x2, g, p_hat)
-        at_hat = condensed(rows, p_hat)
+        ratios = condensed(scenario3x2, g, p_hat)
+        at_hat = ratios(p_hat)
         for m in range(2):
             true_hat = capacity_ratio(scenario3x2, g, p_hat, m)
             assert at_hat[m] == pytest.approx(true_hat, rel=1e-10)
             for _ in range(5):
                 p = rng.uniform(0.01, 1.0, size=3) * scenario3x2.p_max
-                assert condensed(rows, p)[m] >= (
+                assert ratios(p)[m] >= (
                     capacity_ratio(scenario3x2, g, p, m) * (1 - 1e-9))
 
 
@@ -235,8 +236,12 @@ class TestApproxProgram:
         p_hat = scenario3x2.p_max / 2
         prob = build_approx_program(scenario3x2, g, p_hat)
         n, m = 3, 2
-        assert prob.n_vars == n + 1
-        assert prob.sizes.size == m + 2 * n
+        # all gains positive: (p, t, v), one row per eavesdropper, B's
+        # row and the box rows
+        assert (g.g_d > 0).all() and (g.g_e > 0).all()
+        assert prob.n_vars == n + 2
+        assert prob.sizes.size == m + 1 + 2 * n
+        assert prob.log_coeffs.size == (m + 1) * (n + 1) + 2 * n
         # warm start feasible by construction
         assert (constraint_values(prob, prob.warm_start) < 1.0).all()
 
@@ -244,13 +249,13 @@ class TestApproxProgram:
         g = sample_channels(scenario3x2, seed=5)
         p_hat = scenario3x2.p_max / 2
         prob = build_approx_program(scenario3x2, g, p_hat)
-        rows = _condensed_ratio_rows(scenario3x2, g, p_hat)
+        ratios = condensed(scenario3x2, g, p_hat)
         sol = gp_solve(prob)
-        worst_at_hat = condensed(rows, p_hat).max()
+        worst_at_hat = ratios(p_hat).max()
         assert sol.value <= worst_at_hat * (1 + 1e-9)
         # t has to cover every condensed ratio at the solved point
         p_new = sol.x[:3]
-        assert (condensed(rows, p_new) <= sol.value * (1 + 1e-8)).all()
+        assert (ratios(p_new) <= sol.value * (1 + 1e-8)).all()
 
     def test_solution_respects_box(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=6)
@@ -269,7 +274,7 @@ class TestApproxProgram:
 # power.  The value is the one the earlier log-barrier solver returned,
 # an independent route to the same optimum.
 SEED5_HALF_POWER_VALUE = 0.25477111506760197
-SEED5_HALF_POWER_ITERATIONS = 18
+SEED5_HALF_POWER_ITERATIONS = 17
 
 
 class TestPrimalDual:
@@ -292,7 +297,7 @@ class TestPrimalDual:
         prob = build_approx_program(scenario3x2, g, scenario3x2.p_max)
         n = scenario3x2.n_jammers
         values = constraint_values(prob, prob.warm_start)
-        upper = values[scenario3x2.n_eavesdroppers::2][:n]
+        upper = values[-2 * n::2]  # the box rows come last
         assert upper.size == n
         assert (1.0 - upper < 2e-9).all()
         sol = gp_solve(prob)
@@ -315,9 +320,8 @@ class TestPrimalDual:
         monkeypatch.setattr(np.linalg, "solve", first_singular)
         sol = gp_solve(prob)
         # the retry is the same system shifted by 1e-10 * I
-        np.testing.assert_allclose(calls[1] - calls[0],
-                                   1e-10 * np.eye(calls[0].shape[0]),
-                                   rtol=0, atol=1e-15)
+        n = calls[0].shape[0]
+        assert np.array_equal(calls[1], calls[0] + 1e-10 * np.eye(n))
         assert sol.value == pytest.approx(SEED5_HALF_POWER_VALUE, rel=1e-9)
 
     def test_singular_after_regularisation_raises(self, scenario3x2,
@@ -337,12 +341,12 @@ class TestPrimalDual:
         g = ChannelGains(h_d=1.0, h_e=[1.0, 1.0], g_d=[0.5, 0.0, 0.5],
                          g_e=[[0.4, 0.4, 0.0], [0.4, 0.4, 0.4]])
         prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
-        rows = _condensed_ratio_rows(scenario3x2, g, scenario3x2.p_max / 2)
-        num, _ = _ratio_coefficients(scenario3x2, g)
+        a, b, _, _ = _ratio_factors(scenario3x2, g)
         assert np.isfinite(prob.log_coeffs).all()
         for m in range(2):
-            assert (prob.sizes[m] == np.count_nonzero(num[m])
-                    == np.isfinite(rows[0][m]).sum())
-        assert np.count_nonzero(num[0]) < num.shape[1]
+            assert prob.sizes[m] == np.count_nonzero(a[m])
+        assert prob.sizes[2] == np.count_nonzero(b) < b.size
+        assert np.count_nonzero(a[0]) < a.shape[1]
         sol = gp_solve(prob)
-        assert (condensed(rows, sol.x[:3]) <= sol.value * (1 + 1e-8)).all()
+        ratios = condensed(scenario3x2, g, scenario3x2.p_max / 2)
+        assert (ratios(sol.x[:3]) <= sol.value * (1 + 1e-8)).all()

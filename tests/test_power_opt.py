@@ -3,7 +3,7 @@ stationarity report."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coopjam import (ChannelGains, InvalidInputError, NumericalError,
@@ -11,8 +11,7 @@ from coopjam import (ChannelGains, InvalidInputError, NumericalError,
                      best_jammer_selection, check_positive_secrecy,
                      kkt_check, power_opt, sample_channels, secrecy_rate)
 from coopjam.feasibility import default_strict_margin
-from coopjam.gp import (Monomial, Posynomial, _product_layout,
-                        _ratio_coefficients, condense, default_power_floor)
+from coopjam.gp import Monomial, Posynomial, condense, default_power_floor
 from coopjam.model import _sinrs, secrecy_rate_batch, sinr_eavesdropper
 from coopjam.numerics import LinearProgram, lp_solve
 from coopjam.power_opt import (_attained_u, _charnes_cooper_lp,
@@ -529,6 +528,8 @@ class TestPowerBox:
            caps=st.lists(st.floats(0.1, 4.0), min_size=3, max_size=3),
            seed=st.integers(0, 2 ** 32), index=st.integers(0, 1000))
     @settings(max_examples=15, deadline=None)
+    @example(shape=(3, 2), p_source=2.0, caps=[1.0, 2.0, 0.1015625],
+             seed=199, index=997)
     def test_allocations_stay_in_box(self, shape, p_source, caps, seed,
                                      index):
         n, m = shape
@@ -540,6 +541,16 @@ class TestPowerBox:
                        best_jammer_selection(s, g)[0]]
         for alloc in allocations:
             assert (alloc.p >= 0).all() and (alloc.p <= s.p_max).all()
+
+    def test_search_candidate_between_capped_ends(self):
+        # both end allocations of the chosen piece hold jammer 3 at its
+        # cap, and (1 - w) a + w b rounded one ulp above it
+        s = Scenario(n_jammers=3, n_eavesdroppers=2, p_source=2.0,
+                     p_max=np.array([1.0, 2.0, 0.1015625]), sigma2_dest=0.1,
+                     sigma2_eaves=np.full(2, 0.1))
+        g = feasible_draws(s, seed=199, count=1, start_index=997)[0]
+        p = algorithm_b(s, g)[0].p
+        assert (p >= 0).all() and (p <= s.p_max).all()
 
 
 class TestFeasibilityAgreement:
@@ -571,28 +582,37 @@ class TestFeasibilityAgreement:
 
 def _kkt_reference(scenario, gains, p_star):
     """kkt_check as a loop over points, as it was before it evaluated
-    stacked allocations: each condensed ratio is its numerator
-    posynomial over the condensed denominator monomial, and every point
-    is evaluated alone."""
+    stacked allocations: condensed ratio m is the posynomials
+    A_m = g_e[m] p + s_e[m] + ps h_e[m] and B = g_d p + s_d over the
+    monomials condensing C = g_d p + ps h_d + s_d and
+    E_m = g_e[m] p + s_e[m], and every point is evaluated alone."""
     pv = np.asarray(p_star, dtype=float)
     p_floor = default_power_floor(scenario)
     p_ref = np.clip(pv, p_floor * (1 + 1e-6), scenario.p_max)
-    e, _ = _product_layout(scenario.n_jammers)
+    n, ps = scenario.n_jammers, scenario.p_source
 
-    def posynomial(coeffs):
+    def affine(gain_row, constant):
         return Posynomial([Monomial(coeff=float(c), exponents=row)
-                           for c, row in zip(coeffs, e) if c != 0.0])
+                           for c, row in zip(gain_row, np.eye(n)) if c != 0.0]
+                          + [Monomial(coeff=float(constant),
+                                      exponents=np.zeros(n))])
 
-    ratios = [(posynomial(num), condense(posynomial(den), p_ref)[0])
-              for num, den in zip(*_ratio_coefficients(scenario, gains))]
+    b = affine(gains.g_d, scenario.sigma2_dest)
+    c_hat = condense(affine(gains.g_d, ps * gains.h_d + scenario.sigma2_dest),
+                     p_ref)[0]
+    ratios = [(affine(g_e, s_e + ps * h_e),
+               condense(affine(g_e, s_e), p_ref)[0])
+              for g_e, s_e, h_e in zip(gains.g_e, scenario.sigma2_eaves,
+                                       gains.h_e)]
 
     def gamma_exact(p):
         gd, ge = _sinrs(scenario, gains, p)
         return (1.0 + ge) / (1.0 + gd)
 
     def gamma_hat(p):
-        return np.array([num.evaluate(p) / den.evaluate(p)
-                         for num, den in ratios])
+        return np.array([a.evaluate(p) * b.evaluate(p)
+                         / (c_hat.evaluate(p) * e_hat.evaluate(p))
+                         for a, e_hat in ratios])
 
     equality_residual = float(np.max(np.abs(gamma_exact(p_ref)
                                             - gamma_hat(p_ref))))
@@ -673,6 +693,15 @@ class TestKktReport:
                 b = want.boundary_derivative_min
                 assert abs(got.boundary_derivative_min - b) <= \
                     6.7e-7 * max(1.0, abs(b))
+
+    def test_exact_tangency_at_optimum(self):
+        # the condensed ratio touches the exact one at the expansion
+        # point to rounding, zeroed jammers included; _kkt_cases lists
+        # each draw's optimum first
+        for s, g, p in _kkt_cases()[::2]:
+            p_ref = np.clip(p, default_power_floor(s) * (1 + 1e-6), s.p_max)
+            bound = 16 * np.finfo(float).eps * max_sinr_ratio(s, g, p_ref)
+            assert kkt_check(s, g, p).equality_residual <= bound
 
     def test_stationary_point_passes(self, scenario3x2):
         g = feasible_draws(scenario3x2, seed=42, count=1)[0]
