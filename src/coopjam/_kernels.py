@@ -3,15 +3,22 @@
 Every draw is a pure function of ``(seed, counter)``: splitmix64 of the
 counter, scaled to a uniform u in [0, 1) and mapped to a unit-rate
 exponential -log1p(-u).  uniform_at is the scalar reference; one array
-generator (_hash_inputs and _exponential_block) makes the draws of
+generator (_hash_bases and _exponential_block) makes the draws of
 both sample_channels (draw_channel_arrays, one sample) and the outage
 kernel (a block of samples at a time).
 
 The outage kernel is blocked and multi-core: each CPU the process may
-run on counts one contiguous range of samples, a few thousand samples
-at a time in buffers it reuses.  Since every draw depends on its
-counter alone, the count does not depend on the number of workers or
-on the block size.
+run on counts one contiguous range of samples, 8,192 samples at a time
+(4,096 at m = 1) in two buffers it reuses.  It works one eavesdropper
+at a time.  The first pass draws, for every sample of the block, the
+destination's gains and eavesdropper 0's (2 + 2n draws) and forms the
+outage threshold SINR_d/mu + nu.  Pass j draws eavesdropper j's 1 + n
+gains only for the samples still out of outage, from their compressed
+hash bases, and the block ends once none are left.  Outage is
+max_j SINR_e_j >= threshold, so a sample's later draws cannot change
+the count.  Since every draw depends on its counter alone, skipping
+them moves no other draw, and the count does not depend on the number
+of workers, the block size or the order of the eavesdroppers.
 
 Draw layout for fading sample ``i`` of a network with ``n`` jammers and
 ``m`` eavesdroppers (``d = 1 + m + n + m*n`` draws per sample, counters
@@ -71,32 +78,35 @@ def uniform_at(seed: int, counter: int) -> float:
     return (_word_int(seed_key(seed), counter) >> 11) * _INV_2_53
 
 
-def _hash_inputs(key: int, d: int, rows: int):
-    """The (rows, d) uint64 hash inputs of samples 0 .. rows - 1, and
-    the shift per sample.
+def _hash_bases(key: int, d: int, rows: int):
+    """Per-sample and per-offset hash bases of samples 0 .. rows - 1,
+    and the shift per sample.
 
     Draw ``off`` of sample ``i`` hashes ``(i*d + off + 1)*GOLDEN + key``
-    (mod 2**64), as uniform_at does for counter ``i*d + off``; samples
-    ``first ..`` hash the table plus ``first * shift``, exact in uint64.
+    (mod 2**64), as uniform_at does for counter ``i*d + off``: that is
+    ``sample[i] + offset[off]``, with ``sample[i] = i * shift``.
+    Samples ``first ..`` add ``first * shift`` to either base, exact in
+    uint64.
     """
     shift = (d * _GOLDEN) & _MASK
-    per_offset = (np.arange(1, d + 1, dtype=np.uint64) * _U64(_GOLDEN)
-                  + _U64(key))
-    per_sample = np.arange(rows, dtype=np.uint64) * _U64(shift)
-    return per_sample[:, None] + per_offset[None, :], shift
+    offset = (np.arange(1, d + 1, dtype=np.uint64) * _U64(_GOLDEN)
+              + _U64(key))
+    sample = np.arange(rows, dtype=np.uint64) * _U64(shift)
+    return sample, offset, shift
 
 
-def _exponential_block(base, shift, words, draws):
+def _exponential_block(sample, offset, words, draws):
     """Unit-rate exponential draws -log1p(-u) for the hash inputs
-    ``base + shift`` (mod 2**64), written into ``draws``.
+    ``offset[c] + sample[i]`` (mod 2**64), written into ``draws[c, i]``.
 
-    ``words`` (uint64) and ``draws`` (float64) are buffers of the shape
-    of ``base``; splitmix64 runs in place in ``words``, and the shifted
-    words live in the draw buffer until the draws do.
+    ``words`` (uint64) and ``draws`` (float64) are (offset.size,
+    sample.size) buffers, one row per draw offset so that the broadcast
+    add runs along the samples; splitmix64 runs in place in ``words``,
+    and the shifted words live in the draw buffer until the draws do.
     """
     z = words
     t = draws.view(np.uint64)
-    np.add(base, _U64(shift & _MASK), out=z)
+    np.add(offset[:, None], sample, out=z)
     np.right_shift(z, _U64(30), out=t)
     z ^= t
     z *= _U64(_MIX_A)
@@ -106,8 +116,8 @@ def _exponential_block(base, shift, words, draws):
     np.right_shift(z, _U64(31), out=t)
     z ^= t
     z >>= _U64(11)
-    np.multiply(z, _INV_2_53, out=draws)
-    np.negative(draws, out=draws)
+    # -u in one step: scaling by -2**-53 is exact, as is the sign flip.
+    np.multiply(z, -_INV_2_53, out=draws)
     np.log1p(draws, out=draws)
     np.negative(draws, out=draws)
 
@@ -115,11 +125,12 @@ def _exponential_block(base, shift, words, draws):
 def draw_channel_arrays(seed: int, index: int, n: int, m: int):
     """All power gains for fading sample ``index``: (h_d, h_e, g_d, g_e)."""
     d = 1 + m + n + m * n
-    base, shift = _hash_inputs(seed_key(seed), d, 1)
-    words = np.empty((1, d), dtype=np.uint64)
-    draws = np.empty((1, d))
-    _exponential_block(base, index * shift, words, draws)
-    e = draws[0]
+    sample, offset, shift = _hash_bases(seed_key(seed), d, 1)
+    words = np.empty((d, 1), dtype=np.uint64)
+    draws = np.empty((d, 1))
+    _exponential_block(sample, offset + _U64((index * shift) & _MASK),
+                       words, draws)
+    e = draws[:, 0]
     h_d = e[0]
     h_e = e[1:1 + m].copy()
     g_d = e[1 + m:1 + m + n].copy()
@@ -131,10 +142,13 @@ def draw_channel_arrays(seed: int, index: int, n: int, m: int):
 # outage kernel
 # ---------------------------------------------------------------------------
 
-# Samples per block of the outage kernel.  Each worker reuses its
-# (block, d) buffers, under 1 MB each at d = 25, for every block, so the
-# working set stays in the core's cache.
-_BLOCK = 4096
+# Samples per block of the outage kernel, halved at m = 1 (see
+# _block_rows).  A worker's two reused buffers hold one block's first
+# pass, 2 + 2n draws per sample (0.9 MB each at n = 6), plus one hash
+# base per sample: never more bytes than the three (4,096, d) tables of
+# the kernel that drew every gain, so the working set stays in the
+# core's cache.
+_BLOCK = 8192
 # Runs shorter than this stay on the calling thread.
 _MIN_SPLIT = 4 * _BLOCK
 
@@ -167,35 +181,65 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _block_rows(m: int) -> int:
+    """Samples per block with ``m`` eavesdroppers.  At m = 1 the first
+    pass is every draw, with no later pass to skip, so a block of
+    _BLOCK // 2 samples keeps the buffers within the bound above."""
+    return _BLOCK if m > 1 else _BLOCK // 2
+
+
+def _eavesdropper_offsets(n: int, m: int, j: int):
+    """Draw offsets of eavesdropper j's gains: h_e_j, then g_e_j."""
+    return np.r_[1 + j, 1 + m + n + j * n:1 + m + n + (j + 1) * n]
+
+
 def _mc_outage_range(ps, p, sig2d, sig2e, mu, nu, key, start, stop):
-    """Outage count over samples ``start .. stop - 1``, block by block,
-    each block's draws made by _exponential_block in reused buffers."""
+    """Outage count over samples ``start .. stop - 1``, block by block.
+
+    Each block draws the destination's and eavesdropper 0's gains for
+    every sample, then eavesdropper j's only for the samples that no
+    earlier eavesdropper has put in outage.
+    """
     if stop <= start:
         return 0
     n = p.size
     m = sig2e.size
     d = 1 + m + n + m * n
-    rows = min(_BLOCK, stop - start)
-    base, shift = _hash_inputs(key, d, rows)
-    words = np.empty((rows, d), dtype=np.uint64)
-    draws = np.empty((rows, d))
+    rows = min(_block_rows(m), stop - start)
+    sample, offset, shift = _hash_bases(key, d, rows)
+    first = offset[np.r_[0, 1 + m:1 + m + n, _eavesdropper_offsets(n, m, 0)]]
+    later = [offset[_eavesdropper_offsets(n, m, j)] for j in range(1, m)]
+    width = 2 + 2 * n
+    words = np.empty(rows * width, dtype=np.uint64)
+    draws = np.empty(rows * width)
     count = 0
-    for first in range(start, stop, rows):
-        k = min(rows, stop - first)
-        x = draws[:k]
-        _exponential_block(base[:k], first * shift, words[:k], x)
-        h_d = x[:, 0]
-        h_e = x[:, 1:1 + m]
-        g_d = x[:, 1 + m:1 + m + n]
-        g_e = x[:, 1 + m + n:].reshape(k, m, n)
-        # These matmuls keep the views' shapes: re-laying them (explicit
-        # sums, one matmul per eavesdropper) changes some SINRs' last bit.
-        gamma_d = ps * h_d / (g_d @ p + sig2d)
-        gamma_e = ps * h_e / (g_e @ p + sig2e)
-        worst = gamma_e[:, 0].copy()
-        for j in range(1, m):
-            np.maximum(worst, gamma_e[:, j], out=worst)
-        count += int(np.count_nonzero(worst >= gamma_d / mu + nu))
+    for lo in range(start, stop, rows):
+        k = min(rows, stop - lo)
+        at = _U64((lo * shift) & _MASK)
+        x = draws[:k * width].reshape(width, k)
+        _exponential_block(sample[:k], first + at,
+                           words[:k * width].reshape(width, k), x)
+        # p @ (n, k) products may differ from the earlier kernel's
+        # (k, n) @ p in a SINR's last bit; a count moves only if that
+        # SINR lies within one ulp of its threshold.
+        threshold = ps * x[0] / (p @ x[1:1 + n] + sig2d) / mu + nu
+        hit = ps * x[1 + n] / (p @ x[2 + n:] + sig2e[0]) >= threshold
+        hits = int(np.count_nonzero(hit))
+        count += hits
+        alive = sample[:k]
+        for eaves, noise in zip(later, sig2e[1:]):
+            if hits == hit.size:
+                break
+            live = ~hit
+            alive = alive[live]
+            threshold = threshold[live]
+            c = alive.size
+            y = draws[:c * (1 + n)].reshape(1 + n, c)
+            _exponential_block(alive, eaves + at,
+                               words[:c * (1 + n)].reshape(1 + n, c), y)
+            hit = ps * y[0] / (p @ y[1:] + noise) >= threshold
+            hits = int(np.count_nonzero(hit))
+            count += hits
     return count
 
 

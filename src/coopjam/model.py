@@ -124,6 +124,16 @@ def _integer(name, value) -> int:
             f"{name} must be an integer, got {value!r}") from None
 
 
+def _seed(value) -> int:
+    """``value`` as a stream seed: an integer in [0, 2**64).  A seed out
+    of that range would silently reuse the stream of the seed it is
+    congruent to mod 2**64."""
+    seed = _integer("seed", value)
+    if not 0 <= seed < 2 ** 64:
+        raise InvalidInputError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _p_vec(p):
     return np.asarray(p.p if isinstance(p, PowerAllocation) else p, dtype=float)
 
@@ -198,10 +208,11 @@ def sample_channels(scenario: Scenario, seed: int, index: int = 0) -> ChannelGai
 
     ``index`` selects independent realisations under one seed; drawing
     index ``i`` here reproduces sample ``i`` of the streaming estimator.
-    Raises InvalidInputError unless both are integers and index >= 0
-    and the sample's counters fit the stream's 2**64.
+    Raises InvalidInputError unless both are integers, seed is in
+    [0, 2**64), index >= 0 and the sample's counters fit the stream's
+    2**64.
     """
-    seed = _integer("seed", seed)
+    seed = _seed(seed)
     index = _integer("index", index)
     if index < 0:
         raise InvalidInputError(f"index must be >= 0, got {index}")

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._kernels import mc_outage_count
 from .errors import InvalidInputError, NumericalError
-from .model import _integer
+from .model import _integer, _seed
 from .sop_analytic import SopScenario
 
 # The largest draw the stream gives, -log1p(-(1 - 2**-53)) = 53 ln 2.
@@ -35,15 +35,15 @@ def estimate_sop(sc: SopScenario, n_samples: int, seed: int) -> OutageEstimate:
     complement of achieving the target rate.
 
     ``n_samples`` and ``seed`` must be integers (not bool); anything
-    else raises InvalidInputError, as does ``n_samples < 1000``.  Powers
-    and noise levels at which a sampled SINR could overflow a float
-    raise NumericalError before any sampling.
+    else raises InvalidInputError, as do ``n_samples < 1000`` and a seed
+    outside [0, 2**64).  Powers and noise levels at which a sampled SINR
+    could overflow a float raise NumericalError before any sampling.
 
     The kernel spreads the samples over the process's CPUs; its count,
     and so the estimate, does not depend on how many there are.
     """
     n_samples = _integer("n_samples", n_samples)
-    seed = _integer("seed", seed)
+    seed = _seed(seed)
     if n_samples < 1000:
         raise InvalidInputError(
             f"n_samples must be >= 1000 for a usable error bar, got {n_samples}")

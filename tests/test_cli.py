@@ -111,6 +111,14 @@ class TestOptimize:
 
 
 class TestSop:
+    @pytest.mark.parametrize("seed", ["-1", str(7 + 2 ** 64)])
+    def test_seed_outside_stream_keys_is_failure(self, runner, seed):
+        res = runner.invoke(main, ["sop", "--rate", "0.5", "--method", "mc",
+                                   "--samples", "5000", "--seed", seed])
+        assert res.exit_code == EXIT_FAILURE
+        assert "Traceback" not in res.output
+        assert "seed must be in [0, 2**64)" in res.output
+
     def test_near_tied_powers_fail(self, runner, near_tied_file):
         # the closed form rejects powers 1e-9 apart (an exact tie merges);
         # the message points to the routes that take them

@@ -3,8 +3,9 @@
 The contract under test: one (seed, counter) pair maps to one double in
 [0, 1), scalar and vectorised paths agree bit for bit, the outage kernel
 counts what a per-sample evaluation of the secrecy rate counts, its
-counts stay pinned, and they do not depend on how the sample range is
-split.
+counts stay pinned, they do not depend on how the sample range is
+split, and it draws no eavesdropper's gains for a sample already in
+outage.
 """
 
 import numpy as np
@@ -18,10 +19,13 @@ from coopjam import _kernels
 def exponentials(seed, start, count):
     """Draws at counters start .. start + count - 1 from the block
     generator, as ``count`` samples of one draw each."""
-    base, shift = _kernels._hash_inputs(_kernels.seed_key(seed), 1, count)
-    words = np.empty((count, 1), dtype=np.uint64)
-    draws = np.empty((count, 1))
-    _kernels._exponential_block(base, start * shift, words, draws)
+    sample, offset, shift = _kernels._hash_bases(_kernels.seed_key(seed), 1,
+                                                 count)
+    words = np.empty((1, count), dtype=np.uint64)
+    draws = np.empty((1, count))
+    _kernels._exponential_block(sample, offset + np.uint64(start * shift
+                                                           % 2 ** 64),
+                                words, draws)
     return draws.ravel()
 
 
@@ -33,15 +37,18 @@ def reference(seed, counters):
 
 class TestStream:
     def test_scalar_matches_vector(self):
-        # a (rows, d) block from sample `first` on: draw `off` of sample
+        # a (d, rows) block from sample `first` on: draw `off` of sample
         # `first + i` is the scalar reference at counter (first + i)*d + off
         seed, d, rows, first = 123, 5, 9, 7
-        base, shift = _kernels._hash_inputs(_kernels.seed_key(seed), d, rows)
-        words = np.empty((rows, d), dtype=np.uint64)
-        draws = np.empty((rows, d))
-        _kernels._exponential_block(base, first * shift, words, draws)
+        sample, offset, shift = _kernels._hash_bases(_kernels.seed_key(seed),
+                                                     d, rows)
+        words = np.empty((d, rows), dtype=np.uint64)
+        draws = np.empty((d, rows))
+        _kernels._exponential_block(sample + np.uint64(first * shift
+                                                       % 2 ** 64),
+                                    offset, words, draws)
         want = reference(seed, range(first * d, (first + rows) * d))
-        assert draws.ravel().tolist() == want.tolist()
+        assert draws.T.ravel().tolist() == want.tolist()
 
     def test_unit_exponential(self):
         e = exponentials(0, 0, 100_000)
@@ -130,8 +137,8 @@ def kernel_args(n, m, seed=2024, rate=0.5):
 class TestPinnedCounts:
     # Recorded with the earlier numpy kernel (65,536-sample chunks, one
     # thread) before the blocked, multi-core one replaced it.  The middle
-    # sample counts straddle one block of 4,096 samples; 20,011 and
-    # 200,000 are split across the worker threads.
+    # sample counts straddle one block of 4,096 samples, the block size
+    # at m = 1; 200,000 is split across the worker threads.
     COUNTS = (1000, 4095, 4096, 4097, 20_011, 200_000)
     PINNED = {
         (1, 1): (578, 2366, 2366, 2366, 11619, 115575),
@@ -140,10 +147,24 @@ class TestPinnedCounts:
         (4, 4): (900, 3592, 3593, 3593, 17634, 175854),
         (6, 3): (853, 3520, 3521, 3522, 17200, 172318),
     }
+    # Recorded with the blocked kernel that drew every eavesdropper's
+    # gains for every sample (4,096-sample blocks).  The first three
+    # straddle one block of 8,192 samples, the block size at m >= 2;
+    # 40,009 is split across two workers.
+    BLOCK_COUNTS = (8191, 8192, 8193, 40_009)
+    BLOCK_PINNED = {
+        (1, 1): (4768, 4768, 4768, 23230),
+        (2, 1): (4964, 4965, 4966, 24088),
+        (3, 2): (6265, 6266, 6267, 30601),
+        (4, 4): (7190, 7191, 7191, 35198),
+        (6, 3): (7047, 7048, 7049, 34452),
+    }
 
     def test_sample_counts_straddle_one_block(self):
-        assert self.COUNTS[1:4] == (_kernels._BLOCK - 1, _kernels._BLOCK,
-                                    _kernels._BLOCK + 1)
+        one, more = _kernels._block_rows(1), _kernels._block_rows(2)
+        assert self.COUNTS[1:4] == (one - 1, one, one + 1)
+        assert self.BLOCK_COUNTS[:3] == (more - 1, more, more + 1)
+        assert self.BLOCK_COUNTS[3] >= _kernels._MIN_SPLIT
 
     @pytest.mark.parametrize("shape", sorted(PINNED))
     def test_counts_unchanged(self, shape):
@@ -151,6 +172,88 @@ class TestPinnedCounts:
                                              **kernel_args(*shape))
                     for count in self.COUNTS)
         assert got == self.PINNED[shape]
+
+    @pytest.mark.parametrize("shape", sorted(BLOCK_PINNED))
+    def test_counts_at_the_block_boundary(self, shape, monkeypatch):
+        monkeypatch.setattr(_kernels, "_WORKERS", 2)
+        got = tuple(_kernels.mc_outage_count(n_samples=count,
+                                             **kernel_args(*shape))
+                    for count in self.BLOCK_COUNTS)
+        assert got == self.BLOCK_PINNED[shape]
+
+
+def count_draws(monkeypatch):
+    """Run the kernel on one worker, counting the draws it makes."""
+    made = [0]
+    generate = _kernels._exponential_block
+
+    def counting(sample, offset, words, draws):
+        made[0] += draws.size
+        generate(sample, offset, words, draws)
+
+    monkeypatch.setattr(_kernels, "_exponential_block", counting)
+    monkeypatch.setattr(_kernels, "_WORKERS", 1)
+    return made
+
+
+def reference_count(args, n_samples):
+    """Outages among the first samples, each drawn whole by
+    draw_channel_arrays and judged on all m eavesdroppers."""
+    n, m = args["p"].size, args["sig2e"].size
+    count = 0
+    for i in range(n_samples):
+        h_d, h_e, g_d, g_e = _kernels.draw_channel_arrays(args["seed"], i,
+                                                          n, m)
+        gamma_d = args["ps"] * h_d / (g_d @ args["p"] + args["sig2d"])
+        gamma_e = args["ps"] * h_e / (g_e @ args["p"] + args["sig2e"])
+        count += bool(gamma_e.max() >= gamma_d / args["mu"] + args["nu"])
+    return count
+
+
+class TestShortCircuit:
+    """Eavesdropper j's gains are drawn only for samples that no earlier
+    eavesdropper has put in outage."""
+
+    def test_skips_draws_of_samples_in_outage(self, monkeypatch):
+        made = count_draws(monkeypatch)
+        _kernels.mc_outage_count(n_samples=200_000, **kernel_args(4, 4))
+        # every draw of every sample would be 5,000,000
+        assert made[0] <= 2_727_445
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_one_eavesdropper_draws_everything(self, n, monkeypatch):
+        made = count_draws(monkeypatch)
+        _kernels.mc_outage_count(n_samples=20_000, **kernel_args(n, 1))
+        assert made[0] == 20_000 * (2 + 2 * n)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 4), (3, 3), (5, 2),
+                                       (6, 4)])
+    def test_count_matches_whole_sample_reference(self, shape):
+        args = kernel_args(*shape, seed=77)
+        assert (_kernels.mc_outage_count(n_samples=3000, **args)
+                == reference_count(args, 3000))
+
+    def test_every_sample_in_outage_at_the_first_eavesdropper(
+            self, monkeypatch):
+        # SINR_d near 0 puts the threshold at about nu < 0, below every
+        # SINR_e, so no sample is left after eavesdropper 0
+        args = dict(kernel_args(3, 4, seed=5, rate=1.0), sig2d=1e6)
+        assert reference_count(args, 3000) == 3000
+        made = count_draws(monkeypatch)
+        assert _kernels.mc_outage_count(n_samples=3000, **args) == 3000
+        assert made[0] == 3000 * (2 + 2 * 3)
+
+    def test_rare_outage_reaches_the_last_eavesdropper(self, monkeypatch):
+        # eavesdroppers far noisier than the destination: few outages,
+        # so nearly every sample is drawn for all m eavesdroppers
+        args = dict(kernel_args(2, 4, seed=9, rate=0.01),
+                    sig2e=np.full(4, 1e3))
+        want = reference_count(args, 3000)
+        made = count_draws(monkeypatch)
+        assert _kernels.mc_outage_count(n_samples=3000, **args) == want
+        assert 0 < want < 30
+        # an outage at eavesdropper j skips the (3 - j)(1 + n) draws after it
+        assert made[0] >= 3000 * (1 + 4) * (1 + 2) - want * 3 * (1 + 2)
 
 
 def range_count(args, start, stop):

@@ -167,6 +167,19 @@ class TestSampling:
         with pytest.raises(InvalidInputError):
             sample_channels(scenario3x2, seed, index=index)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70, -2 ** 64])
+    def test_seed_outside_stream_keys_rejected(self, scenario3x2, seed):
+        # the stream keys on seed mod 2**64: 2**64 and 2**70 drew seed 0's
+        # gains and -1 drew seed 2**64 - 1's
+        with pytest.raises(InvalidInputError, match=r"\[0, 2\*\*64\)"):
+            sample_channels(scenario3x2, seed, index=0)
+
+    def test_seed_range_ends_accepted(self, scenario3x2):
+        first = sample_channels(scenario3x2, 0, index=0)
+        last = sample_channels(scenario3x2, 2 ** 64 - 1, index=0)
+        assert first.h_d == 0.1011915225580015
+        assert last.h_d != first.h_d
+
     def test_index_past_stream_end_rejected(self, scenario3x2):
         # 12 draws per sample: the last sample whose counters fit in
         # 2**64 draws, then the first that does not

@@ -60,6 +60,12 @@ class TestEstimator:
         with pytest.raises(InvalidInputError, match="seed"):
             estimate_sop(make_sop([0.7, 1.9]), 10_000, seed)
 
+    @pytest.mark.parametrize("seed", [-1, 7 + 2 ** 64, 2 ** 70])
+    def test_seed_outside_stream_keys_rejected(self, seed):
+        # 7 + 2**64 used to return seed 7's estimate
+        with pytest.raises(InvalidInputError, match=r"\[0, 2\*\*64\)"):
+            estimate_sop(make_sop([0.7, 1.9]), 10_000, seed)
+
     def test_numpy_integers_accepted_as_plain_types(self):
         sc = make_sop([0.7, 1.9])
         est = estimate_sop(sc, np.int64(10_000), np.uint32(1))
