@@ -11,8 +11,10 @@ constraint into a valid GP constraint.  The SCA program builder and
 Programs are held as dense arrays, every constraint term's log
 coefficient and exponent row stacked constraint by constraint, and the
 solver, a primal-dual interior-point method in log space, reads them
-directly.  ``Monomial``, ``Posynomial`` and ``condense`` work on single
-expressions given term by term.
+directly.  It centres with a long step: after a nearly full Newton step
+it aims at a duality gap 20 times smaller than the current one, after a
+damped step only 5 times smaller.  ``Monomial``, ``Posynomial`` and
+``condense`` work on single expressions given term by term.
 """
 
 import math
@@ -285,10 +287,15 @@ class GpSolution:
 
 
 # Primal-dual parameters (Boyd & Vandenberghe, Convex Optimization,
-# §11.7.3): t = _MU * m / eta, fraction-to-boundary _STEP_BACK, residual
-# decrease _ARMIJO per unit step, backtracking factor 1/2, and the
-# dual-residual norm a solution must reach.
+# §11.7.3): t = mu * m / eta, with mu = _MU_LONG after a step of at
+# least _LONG_STEP and _MU otherwise (the first step included), so the
+# target gap shrinks fast only while Newton steps run nearly full;
+# fraction-to-boundary _STEP_BACK, residual decrease _ARMIJO per unit
+# step, backtracking factor 1/2, and the dual-residual norm a solution
+# must reach.
 _MU = 5.0
+_MU_LONG = 20.0
+_LONG_STEP = 0.9
 _STEP_BACK = 0.99
 _ARMIJO = 0.01
 _DUAL_TOL = 1e-8
@@ -304,16 +311,19 @@ def gp_solve(problem: GpProblem, tol: float = 1e-9) -> GpSolution:
     Each iteration takes one Newton step on the perturbed KKT residual
     (c + Df' lam, -lam*f - 1/t) with t = mu*m/eta, eta = -f'lam the
     surrogate duality gap; eliminating the dual step leaves one n x n
-    system.  The step keeps lam and the linearised slacks -f - Df dz a
-    fraction away from zero, then backtracks until the residual norm
-    falls.  Stops once eta <= ``tol`` and the dual residual is below
-    1e-8, so the reported objective is within ~tol of optimal in log
-    terms (relative in x).  _MAX_NEWTON caps the iterations;
-    reaching it, or a step that cannot lower the residual, raises
-    ``AccuracyError`` carrying the current point.
+    system.  mu is 20 after a step of at least 0.9 and 5 after a damped
+    step or at the start (Boyd & Vandenberghe's 10 to 20 only while
+    Newton steps run nearly full).  The step keeps lam and the
+    linearised slacks -f - Df dz a fraction away from zero, then
+    backtracks until the residual norm falls.  Stops once eta <= ``tol``
+    (finite and positive) and the dual residual is below 1e-8, so the
+    reported objective is within ~tol of optimal in log terms (relative
+    in x).  _MAX_NEWTON caps the iterations; reaching it, or a step that
+    cannot lower the residual, raises ``AccuracyError`` carrying the
+    current point.
     """
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidInputError(f"tol must be finite and positive, got {tol}")
     m_c = problem.sizes.size
     if m_c == 0:
         raise InvalidInputError("unbounded GP: no constraints")
@@ -330,15 +340,20 @@ def gp_solve(problem: GpProblem, tol: float = 1e-9) -> GpSolution:
     k = np.vstack([a, np.empty((m_c, n))])
     weights = np.empty(n_terms + m_c)
 
-    def evaluate(z):
-        """Constraint values f, term weights w and Jacobian Df at z."""
+    def values(z):
+        """Constraint values f at z, with each term's exponential shifted
+        by its constraint's largest and their sums per constraint."""
         v = b + a.dot(z)
         tops = np.maximum.reduceat(v, starts)
         ex = np.exp(v - tops[groups])
         sums = np.add.reduceat(ex, starts)
+        return tops + np.log(sums), ex, sums
+
+    def derivatives(ex, sums):
+        """Term weights w and Jacobian Df from ``values``' exponentials;
+        skipped at trial points outside the feasible set."""
         w = ex / sums[groups]
-        return (tops + np.log(sums), w,
-                np.add.reduceat(a * w[:, None], starts))
+        return w, np.add.reduceat(a * w[:, None], starts)
 
     def failure(message, z, eta, iterations):
         x = np.exp(z)
@@ -347,16 +362,18 @@ def gp_solve(problem: GpProblem, tol: float = 1e-9) -> GpSolution:
             newton_iterations=iterations))
 
     z = np.log(problem.warm_start)
-    f, w, df = evaluate(z)
+    f, ex, sums = values(z)
     if (f >= 0).any():
         raise InvalidInputError(
             f"warm start violates constraints (max log value "
             f"{f.max():.3g})")
+    w, df = derivatives(ex, sums)
     # 1/(-f) would start near-active constraints, such as a warm start
     # clipped just inside the power box, with huge multipliers
     lam = 1.0 / np.maximum(-f, 1.0)
     r_dual = c + df.T.dot(lam)
     iterations = 0
+    mu = _MU
     while True:
         lam_f = lam * f
         eta = -float(lam_f.sum())
@@ -366,7 +383,7 @@ def gp_solve(problem: GpProblem, tol: float = 1e-9) -> GpSolution:
         if iterations >= _MAX_NEWTON:
             raise failure(f"GP solver hit the iteration budget ({_MAX_NEWTON})",
                           z, eta, iterations)
-        inv_t = eta / (_MU * m_c)
+        inv_t = eta / (mu * m_c)
         inv_s = -1.0 / f
         k[n_terms:] = df
         np.multiply(lam[groups], w, out=weights[:n_terms])
@@ -385,15 +402,18 @@ def gp_solve(problem: GpProblem, tol: float = 1e-9) -> GpSolution:
         iterations += 1
         ddz = df.dot(dz)
         dlam = inv_s * (lam * ddz + inv_t) - lam
-        step = _STEP_BACK / max(1.0, float((-dlam / lam).max()),
-                                float((ddz * inv_s).max()))
+        # maxima of these short vectors through lists: numpy's reductions
+        # cost more in call overhead than the work
+        step = _STEP_BACK / max(1.0, -min((dlam / lam).tolist()),
+                                max((ddz * inv_s).tolist()))
         r_cent = lam_f + inv_t  # negated; only its norm is used
         res = math.sqrt(dual_sq + float(r_cent.dot(r_cent)))
         while True:
             z_new = z + step * dz
-            lam_new = lam + step * dlam
-            f_new, w_new, df_new = evaluate(z_new)
+            f_new, ex, sums = values(z_new)
             if max(f_new.tolist()) < 0:
+                lam_new = lam + step * dlam
+                w_new, df_new = derivatives(ex, sums)
                 r_dual_new = c + df_new.T.dot(lam_new)
                 r_cent = lam_new * f_new + inv_t
                 if (math.sqrt(float(r_dual_new.dot(r_dual_new))
@@ -406,6 +426,7 @@ def gp_solve(problem: GpProblem, tol: float = 1e-9) -> GpSolution:
                               z, eta, iterations)
         z, lam, f, w, df = z_new, lam_new, f_new, w_new, df_new
         r_dual = r_dual_new
+        mu = _MU_LONG if step >= _LONG_STEP else _MU
     x = np.exp(z)
     return GpSolution(x=x, value=problem.objective.evaluate(x),
                       duality_gap=eta, newton_iterations=iterations)

@@ -10,6 +10,8 @@ from coopjam import (ChannelGains, InvalidInputError, NumericalError,
                      PowerAllocation, Scenario, algorithm_a, algorithm_b,
                      best_jammer_selection, check_positive_secrecy,
                      kkt_check, power_opt, sample_channels, secrecy_rate)
+from coopjam.experiments import (ASCENT_MAX_ITER, ExperimentConfig,
+                                 _feasible_draws, default_scenario)
 from coopjam.feasibility import default_strict_margin
 from coopjam.gp import Monomial, Posynomial, condense, default_power_floor
 from coopjam.model import _sinrs, secrecy_rate_batch, sinr_eavesdropper
@@ -17,6 +19,10 @@ from coopjam.numerics import LinearProgram, lp_solve
 from coopjam.power_opt import (_attained_u, _charnes_cooper_lp,
                                _solve_feasible, max_sinr_ratio)
 from tests.conftest import feasible_draws
+
+# GP solves and Newton steps algorithm_a makes on the table_ab draws
+TABLE_AB_GP_SOLVES = 88
+TABLE_AB_NEWTON_STEPS = 1290
 
 
 def _onto_slice(p, g_d, t0: float, p_max):
@@ -132,6 +138,25 @@ class TestAlgorithmA:
             algorithm_a(scenario3x2, g, max_iter=300)
             algorithm_a(scenario3x2, g, p0=scenario3x2.p_max, max_iter=300)
         assert solves and not raised, raised[:3]
+
+    def test_gp_work_on_table_ab_draws(self, monkeypatch):
+        # the table_ab experiment's five draws: the solve count pins the
+        # SCA path, the Newton total what the GP solver spends on it
+        real = power_opt.gp_solve
+        solutions = []
+
+        def recorded(problem, **kwargs):
+            solutions.append(real(problem, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(power_opt, "gp_solve", recorded)
+        s = default_scenario()
+        cfg = ExperimentConfig("table_ab")
+        for _, g in _feasible_draws(s, cfg.seed, cfg.n_channel_sets):
+            algorithm_a(s, g, max_iter=ASCENT_MAX_ITER)
+        assert len(solutions) == TABLE_AB_GP_SOLVES
+        newton = sum(sol.newton_iterations for sol in solutions)
+        assert newton <= TABLE_AB_NEWTON_STEPS
 
     # jammers loud at both eavesdroppers, quiet at the destination: the
     # ascent from half power beats the best single jammer after one round,
