@@ -11,13 +11,19 @@ constraint into a valid GP constraint.  The SCA program builder and
 Programs are held as dense arrays, every constraint term's log
 coefficient and exponent row stacked constraint by constraint, and the
 solver, a primal-dual interior-point method in log space, reads them
-directly.  It centres with a long step: after a nearly full Newton step
-it aims at a duality gap 20 times smaller than the current one, after a
+directly.  Only the condensed denominators and the warm start change
+from one SCA round to the next, so the rest of a program (which terms
+zero gains leave out, the fixed coefficients and exponents, the
+objective and the solver's index arrays) is built and checked once per
+(scenario, gains) pair and kept for the next call on that pair.  The
+solver centres with a long step: after a nearly full Newton step it
+aims at a duality gap 20 times smaller than the current one, after a
 damped step only 5 times smaller.  ``Monomial``, ``Posynomial`` and
 ``condense`` work on single expressions given term by term.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,10 +178,16 @@ def _condensed_denominators(c: np.ndarray, e: np.ndarray, p: np.ndarray):
     Returns log coefficients log_den (M,) and exponents e_den (M, N):
     condensed ratio m at q is A_m(q) B(q) / exp(log_den[m] + e_den[m] @ log q).
     """
-    n = p.size
     with np.errstate(divide="ignore"):
-        log_hat, e_hat, _ = _condense_rows(np.log(np.vstack([c, e])),
-                                           np.eye(n + 1, n), np.log(p))
+        log_ce = np.log(np.vstack([c, e]))
+    return _condense_denominator_logs(log_ce, np.log(p))
+
+
+def _condense_denominator_logs(log_ce: np.ndarray, log_p: np.ndarray):
+    """``_condensed_denominators`` from the logs of the stacked rows
+    [C; E] and of the point."""
+    n = log_p.size
+    log_hat, e_hat, _ = _condense_rows(log_ce, np.eye(n + 1, n), log_p)
     return log_hat[0] + log_hat[1:], e_hat[0] + e_hat[1:]
 
 
@@ -188,9 +200,11 @@ class GpProblem:
 
     The constraints are the arrays the solver reads: ``log_coeffs`` (T,)
     and ``exponents`` (T, n) of all constraint terms stacked constraint
-    by constraint, and ``sizes``, each constraint's term count.
-    ``warm_start`` must be strictly feasible; the solver starts from it
-    directly.
+    by constraint, and ``sizes``, each constraint's term count, from
+    which the constructor derives the solver's index arrays ``starts``
+    (each constraint's first term) and ``groups`` (each term's
+    constraint).  ``warm_start`` must be strictly feasible; the solver
+    starts from it directly.
     """
 
     def __init__(self, objective: Monomial, log_coeffs, exponents, sizes,
@@ -199,25 +213,131 @@ class GpProblem:
         log_coeffs = np.asarray(log_coeffs, dtype=float)
         exponents = np.asarray(exponents, dtype=float)
         sizes = np.asarray(sizes, dtype=int)
-        if (log_coeffs.ndim != 1 or exponents.shape != (log_coeffs.size, n)
-                or (sizes < 1).any() or sizes.sum() != log_coeffs.size):
-            raise InvalidInputError("constraint arrays do not match")
+        _check_constraint_arrays(n, log_coeffs, exponents, sizes)
         ws = np.asarray(warm_start, dtype=float)
         if ws.shape != (n,) or not ((ws > 0).all() and np.isfinite(ws).all()):
             raise InvalidInputError("warm start must be strictly positive")
+        self._set(objective, log_coeffs, exponents, sizes,
+                  *_constraint_index(sizes), ws)
+
+    @classmethod
+    def _checked(cls, objective, log_coeffs, exponents, sizes, starts, groups,
+                 warm_start):
+        """A problem from arrays whose shapes the caller has checked."""
+        problem = cls.__new__(cls)
+        problem._set(objective, log_coeffs, exponents, sizes, starts, groups,
+                     warm_start)
+        return problem
+
+    def _set(self, objective, log_coeffs, exponents, sizes, starts, groups,
+             warm_start):
         self.objective = objective
         self.log_coeffs = log_coeffs
         self.exponents = exponents
         self.sizes = sizes
-        self.warm_start = ws
+        self.starts = starts
+        self.groups = groups
+        self.warm_start = warm_start
 
     @property
     def n_vars(self) -> int:
         return self.objective.n_vars
 
 
+def _check_constraint_arrays(n, log_coeffs, exponents, sizes):
+    if (log_coeffs.ndim != 1 or exponents.shape != (log_coeffs.size, n)
+            or sizes.ndim != 1 or (sizes < 1).any()
+            or sizes.sum() != log_coeffs.size):
+        raise InvalidInputError("constraint arrays do not match")
+
+
+def _constraint_index(sizes):
+    """Read-only ``starts`` and ``groups`` for constraints of ``sizes``."""
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    groups = np.repeat(np.arange(sizes.size), sizes)
+    starts.setflags(write=False)
+    groups.setflags(write=False)
+    return starts, groups
+
+
 def default_power_floor(scenario: Scenario) -> float:
     return 1e-8 * float(np.min(scenario.p_max))
+
+
+class _ProgramLayout:
+    """Everything of a (scenario, gains) pair's SCA programs that does
+    not depend on the expansion point, built and checked once.
+
+    Holds the ratio factors a, b (``_ratio_factors``) for the warm
+    start, the logs of the stacked rows [C; E] for the condensation, and
+    the constraint arrays with the condensed denominators left out: the
+    log coefficients and exponent rows of every kept term (zero gains
+    drop theirs), ``sizes``, the solver's index arrays and the
+    objective.  ``owner`` names the eavesdropper row of each of the
+    first ``n_ratio`` terms, the ones a round's condensation updates.
+    """
+
+    def __init__(self, scenario: Scenario, gains: ChannelGains):
+        _check_dims(scenario, gains)
+        n = scenario.n_jammers
+        p_floor = default_power_floor(scenario)
+        self.box_hi = scenario.p_max * (1 + 1e-9)
+        # strict interior, where logs are finite and the warm start feasible
+        self.clip_lo = p_floor * (1 + 1e-6)
+        self.clip_hi = scenario.p_max * (1 - 1e-9)
+        a, b, c, e = _ratio_factors(scenario, gains)
+        m = a.shape[0]
+        self.a, self.b = a, b
+        with np.errstate(divide="ignore"):
+            self.log_ce = np.log(np.vstack([c, e]))
+            # factor rows, one term per column of a and b: first A_m's
+            # terms times v over t (and, each round, over the condensed
+            # denominator), then B's terms over v
+            b_fac = np.log(np.vstack([a, b]))
+        a_fac = np.zeros((m + 1, n + 1, n + 2))
+        a_fac[:, :, :n] = np.eye(n + 1, n)
+        a_fac[:m, :, n] = -1.0
+        a_fac[:m, :, n + 1] = 1.0
+        a_fac[m, :, n + 1] = -1.0
+        # box rows, per jammer: p_i / p_max[i] <= 1, then p_floor / p_i <= 1
+        b_box = np.empty(2 * n)
+        b_box[0::2] = -np.log(scenario.p_max)
+        b_box[1::2] = math.log(p_floor)
+        a_box = np.zeros((2 * n, n + 2))
+        a_box[0::2, :n] = np.eye(n)
+        a_box[1::2, :n] = -np.eye(n)
+
+        keep = b_fac > -np.inf  # zero-gain terms are left out
+        kept = keep.sum(axis=1)
+        self.owner = np.repeat(np.arange(m), kept[:m])
+        self.n_ratio = self.owner.size
+        self.log_coeffs = np.concatenate([b_fac[keep], b_box])
+        self.exponents = np.vstack([a_fac[keep], a_box])
+        self.sizes = np.concatenate([kept, np.ones(2 * n, dtype=int)])
+        self.objective = Monomial(coeff=1.0, exponents=np.eye(n + 2)[n])
+        _check_constraint_arrays(n + 2, self.log_coeffs, self.exponents,
+                                 self.sizes)
+        for arr in (self.sizes, self.objective.exponents):
+            arr.setflags(write=False)
+        self.starts, self.groups = _constraint_index(self.sizes)
+
+
+# The last pair's layout as one (scenario, gains, layout) tuple.  Both
+# are frozen with read-only arrays, so the pair's identity pins its data,
+# and the strong references keep either id from being reused; readers
+# unpack the tuple once and writers replace it whole, so threads never
+# see a torn entry.
+_last_layout = (None, None, None)
+
+
+def _layout(scenario: Scenario, gains: ChannelGains) -> _ProgramLayout:
+    global _last_layout
+    cached_s, cached_g, layout = _last_layout
+    if cached_s is scenario and cached_g is gains:
+        return layout
+    layout = _ProgramLayout(scenario, gains)
+    _last_layout = (scenario, gains, layout)
+    return layout
 
 
 def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde):
@@ -229,53 +349,44 @@ def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde):
     Constraints: one per eavesdropper, A_m v / (C E_m t) <= 1 with C and
     E_m condensed at ``p_tilde``, then B / v <= 1, then p_i <= p_max[i]
     and p_floor <= p_i for each jammer, p_floor from default_power_floor.
+
+    Only the condensed denominators and the warm start depend on
+    ``p_tilde``.  The rest of the program, its term layout included, is
+    built and checked once per (scenario, gains) pair and kept for the
+    next call on the same pair, so the rounds of one ``algorithm_a``
+    call each write just the eavesdroppers' log coefficients and
+    exponent rows.
     """
-    _check_dims(scenario, gains)
+    layout = _layout(scenario, gains)
     n = scenario.n_jammers
-    p_floor = default_power_floor(scenario)
     p_tilde = np.asarray(p_tilde, dtype=float)
     if p_tilde.shape != (n,):
         raise InvalidInputError(f"expansion point shape {p_tilde.shape} != ({n},)")
-    if (p_tilde < 0).any() or (p_tilde > scenario.p_max * (1 + 1e-9)).any():
+    if not ((p_tilde >= 0) & (p_tilde <= layout.box_hi)).all():
+        if not np.isfinite(p_tilde).all():
+            raise InvalidInputError(
+                f"expansion point must be finite, got {p_tilde}")
         raise InvalidInputError("expansion point outside the power box")
-    # strict interior, where logs are finite and the warm start feasible
-    p_int = np.clip(p_tilde, p_floor * (1 + 1e-6),
-                    scenario.p_max * (1 - 1e-9))
-
-    a, b, c, e = _ratio_factors(scenario, gains)
-    log_den, e_den = _condensed_denominators(c, e, p_int)
-    m = log_den.size
-    # factor rows, one term per column of a and b: first A_m's terms
-    # times v over the condensed denominator and t, then B's terms over v
-    with np.errstate(divide="ignore"):
-        b_fac = np.log(np.vstack([a, b]))
-    b_fac[:m] -= log_den[:, None]
-    a_fac = np.zeros((m + 1, n + 1, n + 2))
-    a_fac[:, :, :n] = np.eye(n + 1, n)
-    a_fac[:m, :, :n] -= e_den[:, None, :]
-    a_fac[:m, :, n] = -1.0
-    a_fac[:m, :, n + 1] = 1.0
-    a_fac[m, :, n + 1] = -1.0
-    # box rows, per jammer: p_i / p_max[i] <= 1, then p_floor / p_i <= 1
-    b_box = np.empty(2 * n)
-    b_box[0::2] = -np.log(scenario.p_max)
-    b_box[1::2] = math.log(p_floor)
-    a_box = np.zeros((2 * n, n + 2))
-    a_box[0::2, :n] = np.eye(n)
-    a_box[1::2, :n] = -np.eye(n)
+    p_int = np.minimum(np.maximum(p_tilde, layout.clip_lo), layout.clip_hi)
+    log_p = np.log(p_int)
+    log_den, e_den = _condense_denominator_logs(layout.log_ce, log_p)
+    k, owner = layout.n_ratio, layout.owner
+    log_coeffs = layout.log_coeffs.copy()
+    log_coeffs[:k] -= log_den[owner]
+    exponents = layout.exponents.copy()
+    exponents[:k, :n] -= e_den[owner]
 
     # v starts just above B(p_int), t just above the worst condensed
     # ratio there
     q = np.append(p_int, 1.0)
-    v = float(q @ b) * math.exp(0.1)
-    ratio = (a @ q) * v / np.exp(log_den + e_den @ np.log(p_int))
-    warm = np.append(p_int, [float(ratio.max()) * math.exp(0.1), v])
-    keep = b_fac > -np.inf  # zero-gain terms are left out
-    return GpProblem(
-        Monomial(coeff=1.0, exponents=np.eye(n + 2)[n]),
-        np.concatenate([b_fac[keep], b_box]),
-        np.vstack([a_fac[keep], a_box]),
-        np.concatenate([keep.sum(axis=1), np.ones(2 * n, dtype=int)]), warm)
+    v = float(q @ layout.b) * math.exp(0.1)
+    ratio = (layout.a @ q) * v / np.exp(log_den + e_den @ log_p)
+    t = float(ratio.max()) * math.exp(0.1)
+    if not (0.0 < t < math.inf and 0.0 < v < math.inf):
+        raise InvalidInputError("warm start must be strictly positive")
+    return GpProblem._checked(
+        layout.objective, log_coeffs, exponents, layout.sizes, layout.starts,
+        layout.groups, np.append(p_int, [t, v]))
 
 
 @dataclass(frozen=True)
@@ -303,6 +414,15 @@ _DUAL_TOL = 1e-8
 _MAX_NEWTON = 600
 
 
+def _positive_tol(tol) -> float:
+    """``tol`` as a float; InvalidInputError unless it is a finite real
+    number > 0 (a bool, None or a string is none)."""
+    if (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+            or not (math.isfinite(tol) and tol > 0)):
+        raise InvalidInputError(f"tol must be a finite real > 0, got {tol!r}")
+    return float(tol)
+
+
 def gp_solve(problem: GpProblem, tol: float = 1e-9) -> GpSolution:
     """Primal-dual interior-point solve of a geometric program.
 
@@ -320,18 +440,19 @@ def gp_solve(problem: GpProblem, tol: float = 1e-9) -> GpSolution:
     reported objective is within ~tol of optimal in log terms (relative
     in x).  _MAX_NEWTON caps the iterations; reaching it, or a step that
     cannot lower the residual, raises ``AccuracyError`` carrying the
-    current point.
+    current point.  The constraint index arrays come with the problem
+    (built once per program layout), and the objective value is read
+    off z without re-checking the point.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidInputError(f"tol must be finite and positive, got {tol}")
+    tol = _positive_tol(tol)
     m_c = problem.sizes.size
     if m_c == 0:
         raise InvalidInputError("unbounded GP: no constraints")
     b, a = problem.log_coeffs, problem.exponents
     n_terms = b.size
-    starts = np.concatenate(([0], np.cumsum(problem.sizes)[:-1]))
-    groups = np.repeat(np.arange(m_c), problem.sizes)
+    starts, groups = problem.starts, problem.groups
     c = problem.objective.exponents
+    log_c0 = math.log(problem.objective.coeff)
     n = c.size
     # The Newton matrix sum_j lam_j Hess f_j + Df' diag(lam/(-f)) Df is
     # k' diag(weights) k with k = [term exponents; Df] and weights
@@ -355,11 +476,13 @@ def gp_solve(problem: GpProblem, tol: float = 1e-9) -> GpSolution:
         w = ex / sums[groups]
         return w, np.add.reduceat(a * w[:, None], starts)
 
+    def solution(z, eta, iterations):
+        return GpSolution(x=np.exp(z), value=float(np.exp(log_c0 + c.dot(z))),
+                          duality_gap=eta, newton_iterations=iterations)
+
     def failure(message, z, eta, iterations):
-        x = np.exp(z)
-        return AccuracyError(message, best_estimate=GpSolution(
-            x=x, value=problem.objective.evaluate(x), duality_gap=eta,
-            newton_iterations=iterations))
+        return AccuracyError(message,
+                             best_estimate=solution(z, eta, iterations))
 
     z = np.log(problem.warm_start)
     f, ex, sums = values(z)
@@ -427,6 +550,4 @@ def gp_solve(problem: GpProblem, tol: float = 1e-9) -> GpSolution:
         z, lam, f, w, df = z_new, lam_new, f_new, w_new, df_new
         r_dual = r_dual_new
         mu = _MU_LONG if step >= _LONG_STEP else _MU
-    x = np.exp(z)
-    return GpSolution(x=x, value=problem.objective.evaluate(x),
-                      duality_gap=eta, newton_iterations=iterations)
+    return solution(z, eta, iterations)

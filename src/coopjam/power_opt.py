@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CoopJamError, InvalidInputError, NumericalError
 from .feasibility import check_positive_secrecy
-from .gp import (_condensed_denominators, _ratio_factors,
+from .gp import (_condensed_denominators, _positive_tol, _ratio_factors,
                  build_approx_program, default_power_floor, gp_solve)
 from .model import (ChannelGains, PowerAllocation, Scenario, _ArrayEq,
                     _allocations, _check_dims, _integer, _p_vec, _sinrs,
@@ -71,9 +71,10 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
     ``p0`` and always dominates the baseline.
     """
     _check_dims(scenario, gains)
+    tol = _positive_tol(tol)
     max_iter = _integer("max_iter", max_iter)
-    if not tol > 0 or max_iter < 1:
-        raise InvalidInputError("tol must be > 0 and max_iter >= 1")
+    if max_iter < 1:
+        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
     n = scenario.n_jammers
     p_floor = default_power_floor(scenario)
     if p0 is None:
@@ -82,6 +83,8 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
         pv = _p_vec(p0)
         if pv.shape != (n,):
             raise InvalidInputError("p0 length does not match scenario")
+        if not np.isfinite(pv).all():
+            raise InvalidInputError(f"p0 must be finite, got {pv}")
         pv = np.clip(pv, 0.0, scenario.p_max)
 
     def run(pv):

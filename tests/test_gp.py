@@ -2,13 +2,15 @@
 and the primal-dual GP solver."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopjam import gp, sample_channels
+from coopjam import ChannelGains, Scenario, gp, sample_channels
 from coopjam.errors import (AccuracyError, DomainError, InvalidInputError,
                             NumericalError)
 from coopjam.gp import (GpProblem, Monomial, Posynomial,
@@ -218,10 +220,12 @@ class TestGpSolve:
             with pytest.raises(InvalidInputError):
                 GpProblem(objective, log_coeffs, exponents, sizes, [2.0])
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9, None,
+                                     "1e-9"])
     def test_rejects_bad_tol(self, scenario3x2, tol):
-        # NaN slipped past tol <= 0 into a singular Newton system, and
-        # inf returned a point with gap 6.7e-5 as if solved
+        # NaN slipped past tol <= 0 into a singular Newton system, inf
+        # returned a point with gap 6.7e-5 as if solved, and None or a
+        # string raised a bare TypeError
         g = sample_channels(scenario3x2, seed=5)
         prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
         with pytest.raises(InvalidInputError, match="tol"):
@@ -277,6 +281,127 @@ class TestApproxProgram:
         g = sample_channels(scenario3x2, seed=7)
         with pytest.raises(InvalidInputError):
             build_approx_program(scenario3x2, g, scenario3x2.p_max * 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_expansion_point_named(self, scenario3x2, bad):
+        # a NaN used to pass the box check and surface as "constraint
+        # arrays do not match"
+        g = sample_channels(scenario3x2, seed=7)
+        with pytest.raises(InvalidInputError,
+                           match="expansion point must be finite"):
+            build_approx_program(scenario3x2, g, [bad, 0.5, 0.5])
+
+
+def _fresh_copies(s, g):
+    """Equal copies of a (scenario, gains) pair under new identities, so
+    a program built from them cannot come from a cached layout."""
+    return (Scenario(s.n_jammers, s.n_eavesdroppers, s.p_source, s.p_max,
+                     s.sigma2_dest, s.sigma2_eaves),
+            ChannelGains(g.h_d, g.h_e, g.g_d, g.g_e))
+
+
+def assert_same_program(got, want):
+    for name in ("log_coeffs", "exponents", "sizes", "starts", "groups",
+                 "warm_start"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert got.objective.coeff == want.objective.coeff
+    np.testing.assert_array_equal(got.objective.exponents,
+                                  want.objective.exponents)
+
+
+class TestProgramLayout:
+    def test_cached_layout_builds_the_fresh_program(self):
+        # random draws, a third of them with zero gains that drop terms
+        rng = np.random.default_rng(24)
+        dropped = 0
+        for k in range(40):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+            s = Scenario(n, m, p_source=float(rng.uniform(0.5, 5.0)),
+                         p_max=rng.uniform(0.2, 3.0, size=n),
+                         sigma2_dest=0.1, sigma2_eaves=np.full(m, 0.1))
+            raw = sample_channels(s, 24, index=k)
+            zero = k % 3 == 0
+            g = ChannelGains(
+                h_d=raw.h_d, h_e=raw.h_e,
+                g_d=np.where(zero & (rng.random(n) < 0.4), 0.0, raw.g_d),
+                g_e=np.where(zero & (rng.random((m, n)) < 0.4), 0.0, raw.g_e))
+            build_approx_program(s, g, rng.uniform(0.0, 1.0, n) * s.p_max)
+            cached = gp._last_layout[2]
+            p = rng.uniform(0.0, 1.0, n) * s.p_max
+            got = build_approx_program(s, g, p)
+            assert gp._last_layout[2] is cached
+            want = build_approx_program(*_fresh_copies(s, g), p)
+            assert gp._last_layout[2] is not cached
+            assert_same_program(got, want)
+            dropped += got.log_coeffs.size < (m + 1) * (n + 1) + 2 * n
+        assert dropped >= 5
+
+    def test_alternating_pairs_never_share_a_layout(self, scenario3x2):
+        other = Scenario(3, 2, p_source=5.0, p_max=[0.5, 2.0, 1.0],
+                         sigma2_dest=0.2, sigma2_eaves=[0.1, 0.3])
+        g1 = sample_channels(scenario3x2, seed=1)
+        g2 = ChannelGains(h_d=1.0, h_e=[1.0, 1.0], g_d=[0.5, 0.0, 0.5],
+                          g_e=[[0.4, 0.4, 0.0], [0.4, 0.4, 0.4]])
+        pairs = [(scenario3x2, g1), (scenario3x2, g2), (other, g1),
+                 (other, g2)]
+        p = np.array([0.3, 0.2, 0.4])
+        want = [build_approx_program(*_fresh_copies(s, g), p)
+                for s, g in pairs]
+        for _ in range(3):
+            for (s, g), w in zip(pairs, want):
+                assert_same_program(build_approx_program(s, g, p), w)
+            for (s, g), w in zip(pairs[::-1], want[::-1]):
+                assert_same_program(build_approx_program(s, g, p), w)
+
+    def test_threads_get_their_own_pair_s_program(self, scenario3x2):
+        # the one cached layout is shared by every thread: threads that
+        # build programs for different pairs must never get another's
+        pairs = [(scenario3x2, sample_channels(scenario3x2, seed=k))
+                 for k in range(4)]
+        p = np.array([0.3, 0.2, 0.4])
+        want = [build_approx_program(*_fresh_copies(s, g), p)
+                for s, g in pairs]
+        wrong = []
+
+        def work(i):
+            s, g = pairs[i % len(pairs)]
+            w = want[i % len(pairs)]
+            for _ in range(200):
+                got = build_approx_program(s, g, p)
+                if not (np.array_equal(got.log_coeffs, w.log_coeffs)
+                        and np.array_equal(got.exponents, w.exponents)
+                        and np.array_equal(got.warm_start, w.warm_start)):
+                    wrong.append(i)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+
+    def test_programs_do_not_share_writable_arrays(self, scenario3x2):
+        g = sample_channels(scenario3x2, seed=5)
+        p = scenario3x2.p_max / 2
+        first = build_approx_program(scenario3x2, g, p)
+        first.log_coeffs[:] = 0.0
+        first.exponents[:] = 0.0
+        for name in ("sizes", "starts", "groups"):
+            with pytest.raises(ValueError):
+                getattr(first, name)[0] = 7
+        with pytest.raises(ValueError):
+            first.objective.exponents[0] = 7.0
+        assert_same_program(build_approx_program(scenario3x2, g, p),
+                            build_approx_program(
+                                *_fresh_copies(scenario3x2, g), p))
 
 
 # Value and iteration count of the workhorse program on seed 5 at half

@@ -1,6 +1,8 @@
 """Both allocation routes, the single-jammer baseline and the
 stationarity report."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from coopjam import (ChannelGains, InvalidInputError, NumericalError,
                      PowerAllocation, Scenario, algorithm_a, algorithm_b,
                      best_jammer_selection, check_positive_secrecy,
-                     kkt_check, power_opt, sample_channels, secrecy_rate)
+                     gp, kkt_check, power_opt, sample_channels,
+                     secrecy_rate)
 from coopjam.experiments import (ASCENT_MAX_ITER, ExperimentConfig,
                                  _feasible_draws, default_scenario)
 from coopjam.feasibility import default_strict_margin
@@ -158,6 +161,24 @@ class TestAlgorithmA:
         newton = sum(sol.newton_iterations for sol in solutions)
         assert newton <= TABLE_AB_NEWTON_STEPS
 
+    def test_one_program_layout_per_call(self, monkeypatch):
+        # every SCA round of every start shares the pair's layout
+        built = []
+
+        class Counted(gp._ProgramLayout):
+            def __init__(self, scenario, gains):
+                built.append(gains)
+                super().__init__(scenario, gains)
+
+        monkeypatch.setattr(gp, "_ProgramLayout", Counted)
+        s = default_scenario()
+        cfg = ExperimentConfig("table_ab")
+        for _, g in _feasible_draws(s, cfg.seed, cfg.n_channel_sets):
+            monkeypatch.setattr(gp, "_last_layout", (None, None, None))
+            built.clear()
+            algorithm_a(s, g, max_iter=ASCENT_MAX_ITER)
+            assert len(built) == 1 and built[0] is g
+
     # jammers loud at both eavesdroppers, quiet at the destination: the
     # ascent from half power beats the best single jammer after one round,
     # so no challenger run replaces its trace
@@ -206,6 +227,23 @@ class TestAlgorithmA:
         g = sample_channels(scenario3x2, seed=0)
         with pytest.raises(InvalidInputError):
             algorithm_a(scenario3x2, g, tol=float("nan"))
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, None, "1e-6", 0.0,
+                                     -1e-9])
+    def test_rejects_bad_tol(self, tol):
+        # inf stopped every start after one round as "tolerance"; None
+        # or a string raised a bare TypeError
+        s = default_scenario()
+        (_, g), = _feasible_draws(s, 0, 1)
+        with pytest.raises(InvalidInputError, match="tol"):
+            algorithm_a(s, g, tol=tol)
+
+    def test_non_finite_p0_named(self, scenario3x2):
+        # a NaN used to reach the program builder and surface as
+        # "constraint arrays do not match"
+        g = sample_channels(scenario3x2, seed=0)
+        with pytest.raises(InvalidInputError, match="p0 must be finite"):
+            algorithm_a(scenario3x2, g, p0=[np.nan, 0.5, 0.5])
 
     def test_non_integer_max_iter_rejected(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=0)
