@@ -8,17 +8,20 @@ both sample_channels (draw_channel_arrays, one sample) and the outage
 kernel (a block of samples at a time).
 
 The outage kernel is blocked and multi-core: each CPU the process may
-run on counts one contiguous range of samples, 8,192 samples at a time
-(4,096 at m = 1) in two buffers it reuses.  It works one eavesdropper
-at a time.  The first pass draws, for every sample of the block, the
-destination's gains and eavesdropper 0's (2 + 2n draws) and forms the
-outage threshold SINR_d/mu + nu.  Pass j draws eavesdropper j's 1 + n
-gains only for the samples still out of outage, from their compressed
-hash bases, and the block ends once none are left.  Outage is
-max_j SINR_e_j >= threshold, so a sample's later draws cannot change
-the count.  Since every draw depends on its counter alone, skipping
-them moves no other draw, and the count does not depend on the number
-of workers, the block size or the order of the eavesdroppers.
+run on counts one contiguous range of samples, one block at a time.  A
+block is as many samples as fit a first pass of 81,920 draws (8,192
+samples at n = 4).  Every array the blocks write, the draws, SINRs and
+thresholds included, is allocated once per range.  The kernel works
+one eavesdropper at a time.  The first pass draws, for every sample of
+the block, the destination's gains and eavesdropper 0's (2 + 2n
+draws) and forms the outage threshold SINR_d/mu + nu.  Pass j draws
+eavesdropper j's 1 + n gains only for the samples still out of
+outage, from their compressed hash bases, and the block ends once none
+are left.  Outage is max_j SINR_e_j >= threshold, so a sample's later
+draws cannot change the count.  Since every draw depends on its
+counter alone, skipping them moves no other draw, and the count does
+not depend on the number of workers, the block size or the order of
+the eavesdroppers.
 
 Draw layout for fading sample ``i`` of a network with ``n`` jammers and
 ``m`` eavesdroppers (``d = 1 + m + n + m*n`` draws per sample, counters
@@ -142,15 +145,18 @@ def draw_channel_arrays(seed: int, index: int, n: int, m: int):
 # outage kernel
 # ---------------------------------------------------------------------------
 
-# Samples per block of the outage kernel, halved at m = 1 (see
-# _block_rows).  A worker's two reused buffers hold one block's first
-# pass, 2 + 2n draws per sample (0.9 MB each at n = 6), plus one hash
-# base per sample: never more bytes than the three (4,096, d) tables of
-# the kernel that drew every gain, so the working set stays in the
-# core's cache.
-_BLOCK = 8192
-# Runs shorter than this stay on the calling thread.
-_MIN_SPLIT = 4 * _BLOCK
+# Draws per block of the outage kernel.  A block holds as many samples
+# as fit one first pass, 2 + 2n draws each, into this budget (see
+# _block_rows): 8,192 samples at n = 4, 20,480 at n = 1, one at any n
+# whose first pass alone is larger.  A worker's two reused draw buffers
+# (uint64 words and float64 draws) are then 0.66 MB each at every n up
+# to 40,959, so the working set stays in the core's cache.  Each numpy
+# call of a block then runs over enough draws that the workers seldom
+# wait on each other for the interpreter lock between calls; smaller
+# blocks made two workers slower than one.
+_BLOCK = 81_920
+# Runs of fewer blocks than this stay on the calling thread.
+_MIN_SPLIT = 4
 
 try:
     _WORKERS = len(os.sched_getaffinity(0))
@@ -181,11 +187,10 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _block_rows(m: int) -> int:
-    """Samples per block with ``m`` eavesdroppers.  At m = 1 the first
-    pass is every draw, with no later pass to skip, so a block of
-    _BLOCK // 2 samples keeps the buffers within the bound above."""
-    return _BLOCK if m > 1 else _BLOCK // 2
+def _block_rows(n: int) -> int:
+    """Samples per block with ``n`` jammers: as many first passes of
+    2 + 2n draws as fit _BLOCK draws, and at least one."""
+    return max(1, _BLOCK // (2 + 2 * n))
 
 
 def _eavesdropper_offsets(n: int, m: int, j: int):
@@ -193,51 +198,75 @@ def _eavesdropper_offsets(n: int, m: int, j: int):
     return np.r_[1 + j, 1 + m + n + j * n:1 + m + n + (j + 1) * n]
 
 
+def _sinr(ps, h, p, g, noise, out, den):
+    """ps * h / (p @ g + noise), written into ``out``; ``den`` is
+    scratch of the same size."""
+    np.multiply(ps, h, out=out)
+    np.matmul(p, g, out=den)
+    np.add(den, noise, out=den)
+    return np.divide(out, den, out=out)
+
+
 def _mc_outage_range(ps, p, sig2d, sig2e, mu, nu, key, start, stop):
     """Outage count over samples ``start .. stop - 1``, block by block.
 
     Each block draws the destination's and eavesdropper 0's gains for
     every sample, then eavesdropper j's only for the samples that no
-    earlier eavesdropper has put in outage.
+    earlier eavesdropper has put in outage.  Every array the blocks
+    write is allocated here, once per range; the survivors' hash bases
+    and thresholds move between two buffers of each, one pass to the
+    next.
     """
     if stop <= start:
         return 0
     n = p.size
     m = sig2e.size
     d = 1 + m + n + m * n
-    rows = min(_block_rows(m), stop - start)
+    width = 2 + 2 * n
+    rows = min(_block_rows(n), stop - start)
     sample, offset, shift = _hash_bases(key, d, rows)
     first = offset[np.r_[0, 1 + m:1 + m + n, _eavesdropper_offsets(n, m, 0)]]
     later = [offset[_eavesdropper_offsets(n, m, j)] for j in range(1, m)]
-    width = 2 + 2 * n
     words = np.empty(rows * width, dtype=np.uint64)
     draws = np.empty(rows * width)
+    moved = np.empty(width, dtype=np.uint64)
+    sinr = np.empty(rows)
+    den = np.empty(rows)
+    flags = np.empty(rows, dtype=bool)
+    bases = np.empty((2, rows), dtype=np.uint64)
+    thresholds = np.empty((2, rows))
     count = 0
     for lo in range(start, stop, rows):
         k = min(rows, stop - lo)
         at = _U64((lo * shift) & _MASK)
         x = draws[:k * width].reshape(width, k)
-        _exponential_block(sample[:k], first + at,
+        _exponential_block(sample[:k], np.add(first, at, out=moved),
                            words[:k * width].reshape(width, k), x)
         # p @ (n, k) products may differ from the earlier kernel's
         # (k, n) @ p in a SINR's last bit; a count moves only if that
         # SINR lies within one ulp of its threshold.
-        threshold = ps * x[0] / (p @ x[1:1 + n] + sig2d) / mu + nu
-        hit = ps * x[1 + n] / (p @ x[2 + n:] + sig2e[0]) >= threshold
+        threshold = _sinr(ps, x[0], p, x[1:1 + n], sig2d, thresholds[0, :k],
+                          den[:k])
+        np.divide(threshold, mu, out=threshold)
+        np.add(threshold, nu, out=threshold)
+        e = _sinr(ps, x[1 + n], p, x[2 + n:], sig2e[0], sinr[:k], den[:k])
+        hit = np.greater_equal(e, threshold, out=flags[:k])
         hits = int(np.count_nonzero(hit))
         count += hits
         alive = sample[:k]
-        for eaves, noise in zip(later, sig2e[1:]):
-            if hits == hit.size:
+        for j, (eaves, noise) in enumerate(zip(later, sig2e[1:]), 1):
+            if hits == alive.size:
                 break
-            live = ~hit
-            alive = alive[live]
-            threshold = threshold[live]
-            c = alive.size
+            live = np.logical_not(hit, out=hit)
+            c = alive.size - hits
+            alive = np.compress(live, alive, out=bases[j % 2, :c])
+            threshold = np.compress(live, threshold,
+                                    out=thresholds[j % 2, :c])
             y = draws[:c * (1 + n)].reshape(1 + n, c)
-            _exponential_block(alive, eaves + at,
+            _exponential_block(alive, np.add(eaves, at, out=moved[:1 + n]),
                                words[:c * (1 + n)].reshape(1 + n, c), y)
-            hit = ps * y[0] / (p @ y[1:] + noise) >= threshold
+            e = _sinr(ps, y[0], p, y[1:], noise, sinr[:c], den[:c])
+            hit = np.greater_equal(e, threshold, out=flags[:c])
             hits = int(np.count_nonzero(hit))
             count += hits
     return count
@@ -248,15 +277,16 @@ def mc_outage_count(ps, p, sig2d, sig2e, mu, nu, seed, n_samples) -> int:
 
     ``mu = 2**rate`` and ``nu = 2**(-rate) - 1`` encode the target
     secrecy rate; an outage is ``max_j gamma_e_j >= gamma_d/mu + nu``.
-    Runs long enough to split are shared out as one contiguous range of
-    samples per CPU.
+    Runs of at least _MIN_SPLIT blocks are shared out as one contiguous
+    range of samples per CPU.
     """
     args = (float(ps), np.ascontiguousarray(p, dtype=float), float(sig2d),
             np.ascontiguousarray(sig2e, dtype=float), float(mu), float(nu),
             seed_key(seed))
-    if _WORKERS < 2 or n_samples < _MIN_SPLIT:
+    rows = _block_rows(np.size(p))
+    if _WORKERS < 2 or n_samples < _MIN_SPLIT * rows:
         return _mc_outage_range(*args, 0, n_samples)
-    workers = min(_WORKERS, n_samples // _BLOCK)
+    workers = min(_WORKERS, n_samples // rows)
     bounds = [n_samples * w // workers for w in range(workers + 1)]
     pool = _pool()
     futures = [pool.submit(_mc_outage_range, *args, lo, hi)

@@ -36,6 +36,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, factorial
+from numbers import Real
 
 import numpy as np
 
@@ -72,12 +73,20 @@ def min_relative_gap(powers) -> float:
 class SopScenario:
     """Statistical outage setting: jammers always transmit at p_max and
     the secrecy-rate target is strictly positive and below 1024 bits,
-    so that every route's 2**rate is a finite float."""
+    so that every route's 2**rate is a finite float.  InvalidInputError
+    unless ``scenario`` is a Scenario and ``rate`` a real number (not a
+    bool) in that range."""
 
     scenario: Scenario
     rate: float
 
     def __post_init__(self):
+        if not isinstance(self.scenario, Scenario):
+            raise InvalidInputError(
+                f"scenario must be a Scenario, got {self.scenario!r}")
+        if isinstance(self.rate, bool) or not isinstance(self.rate, Real):
+            raise InvalidInputError(
+                f"rate target must be a real number, got {self.rate!r}")
         if not 0 < self.rate < 1024:
             raise InvalidInputError(
                 f"rate target must be > 0 and < 1024, got {self.rate}")

@@ -35,9 +35,11 @@ def estimate_sop(sc: SopScenario, n_samples: int, seed: int) -> OutageEstimate:
     complement of achieving the target rate.
 
     ``n_samples`` and ``seed`` must be integers (not bool); anything
-    else raises InvalidInputError, as do ``n_samples < 1000`` and a seed
-    outside [0, 2**64).  Powers and noise levels at which a sampled SINR
-    could overflow a float raise NumericalError before any sampling.
+    else raises InvalidInputError, as do ``n_samples < 1000``, a seed
+    outside [0, 2**64) and a count whose counters, 1 + m + n + m*n per
+    sample, run past the stream's 2**64.  Powers and noise levels at
+    which a sampled SINR could overflow a float raise NumericalError
+    before any sampling.
 
     The kernel spreads the samples over the process's CPUs; its count,
     and so the estimate, does not depend on how many there are.
@@ -48,6 +50,11 @@ def estimate_sop(sc: SopScenario, n_samples: int, seed: int) -> OutageEstimate:
         raise InvalidInputError(
             f"n_samples must be >= 1000 for a usable error bar, got {n_samples}")
     s = sc.scenario
+    n, m = s.n_jammers, s.n_eavesdroppers
+    if n_samples * (1 + m + n + m * n) > 2 ** 64:
+        raise InvalidInputError(
+            f"n_samples {n_samples} runs past the end of the 2**64-counter "
+            "stream")
     # Python floats, which overflow to inf without a numpy warning.
     noise = [float(s.sigma2_dest), *s.sigma2_eaves.tolist()]
     jammers = sum(s.p_max.tolist())

@@ -137,8 +137,8 @@ def kernel_args(n, m, seed=2024, rate=0.5):
 class TestPinnedCounts:
     # Recorded with the earlier numpy kernel (65,536-sample chunks, one
     # thread) before the blocked, multi-core one replaced it.  The middle
-    # sample counts straddle one block of 4,096 samples, the block size
-    # at m = 1; 200,000 is split across the worker threads.
+    # sample counts straddled one block of 4,096 samples, that kernel's
+    # block size at m = 1; 200,000 is split across the worker threads.
     COUNTS = (1000, 4095, 4096, 4097, 20_011, 200_000)
     PINNED = {
         (1, 1): (578, 2366, 2366, 2366, 11619, 115575),
@@ -149,8 +149,9 @@ class TestPinnedCounts:
     }
     # Recorded with the blocked kernel that drew every eavesdropper's
     # gains for every sample (4,096-sample blocks).  The first three
-    # straddle one block of 8,192 samples, the block size at m >= 2;
-    # 40,009 is split across two workers.
+    # straddled one block of 8,192 samples, the block size at m >= 2 of
+    # the kernel that followed it; 40,009 is split across two workers
+    # from n = 4 on.
     BLOCK_COUNTS = (8191, 8192, 8193, 40_009)
     BLOCK_PINNED = {
         (1, 1): (4768, 4768, 4768, 23230),
@@ -159,12 +160,36 @@ class TestPinnedCounts:
         (4, 4): (7190, 7191, 7191, 35198),
         (6, 3): (7047, 7048, 7049, 34452),
     }
+    # Recorded with the kernel of 8,192-sample blocks (4,096 at m = 1)
+    # at each network's block of _BLOCK draws: one sample short of a
+    # block, one block, one sample more, and the shortest run that is
+    # split across workers.
+    DRAW_BLOCK_PINNED = {
+        (1, 1): ((20_479, 20_480, 20_481, 81_920),
+                 (11887, 11887, 11887, 47450)),
+        (2, 1): ((13_652, 13_653, 13_654, 54_612),
+                 (8244, 8244, 8245, 32922)),
+        (3, 2): ((10_239, 10_240, 10_241, 40_960),
+                 (7803, 7804, 7805, 31324)),
+        (4, 4): ((8191, 8192, 8193, 32_768), (7190, 7191, 7191, 28859)),
+        (6, 3): ((5850, 5851, 5852, 23_404), (5030, 5031, 5032, 20139)),
+    }
 
     def test_sample_counts_straddle_one_block(self):
-        one, more = _kernels._block_rows(1), _kernels._block_rows(2)
-        assert self.COUNTS[1:4] == (one - 1, one, one + 1)
-        assert self.BLOCK_COUNTS[:3] == (more - 1, more, more + 1)
-        assert self.BLOCK_COUNTS[3] >= _kernels._MIN_SPLIT
+        for (n, _), (counts, _) in self.DRAW_BLOCK_PINNED.items():
+            rows = _kernels._block_rows(n)
+            assert counts == (rows - 1, rows, rows + 1,
+                              _kernels._MIN_SPLIT * rows)
+            assert self.COUNTS[-1] >= _kernels._MIN_SPLIT * rows
+
+    @pytest.mark.parametrize("shape", sorted(DRAW_BLOCK_PINNED))
+    def test_counts_at_the_draw_block_boundary(self, shape, monkeypatch):
+        monkeypatch.setattr(_kernels, "_WORKERS", 2)
+        counts, want = self.DRAW_BLOCK_PINNED[shape]
+        got = tuple(_kernels.mc_outage_count(n_samples=count,
+                                             **kernel_args(*shape))
+                    for count in counts)
+        assert got == want
 
     @pytest.mark.parametrize("shape", sorted(PINNED))
     def test_counts_unchanged(self, shape):
@@ -180,6 +205,33 @@ class TestPinnedCounts:
                                              **kernel_args(*shape))
                     for count in self.BLOCK_COUNTS)
         assert got == self.BLOCK_PINNED[shape]
+
+
+class TestDrawBudget:
+    def test_rows_rule(self):
+        # rows >= 1, and a first pass of more than one sample fills the
+        # budget to within one sample without passing it
+        budget = _kernels._BLOCK
+        for n in range(1, 100_001):
+            rows, width = _kernels._block_rows(n), 2 + 2 * n
+            assert rows >= 1
+            if rows > 1 or width <= budget:
+                assert rows * width <= budget < (rows + 1) * width
+
+    @given(n=st.integers(1, 6), m=st.integers(1, 4),
+           n_samples=st.integers(1, 3000), seed=st.integers(0, 2 ** 32))
+    @settings(max_examples=30, deadline=None)
+    def test_tiny_budget_gives_the_same_count(self, n, m, n_samples, seed):
+        # blocks of 4 to 16 samples, split across two workers from 4
+        # blocks on
+        args = kernel_args(n, m, seed=seed)
+        default = _kernels.mc_outage_count(n_samples=n_samples, **args)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernels, "_BLOCK", 64)
+            patch.setattr(_kernels, "_WORKERS", 2)
+            assert _kernels._block_rows(n) == 64 // (2 + 2 * n)
+            tiny = _kernels.mc_outage_count(n_samples=n_samples, **args)
+        assert tiny == default
 
 
 def count_draws(monkeypatch):
@@ -265,7 +317,7 @@ def range_count(args, start, stop):
 
 class TestSplitInvariance:
     @given(shape=st.sampled_from([(1, 1), (2, 1), (3, 2)]),
-           n_samples=st.integers(1, 3 * _kernels._BLOCK + 100),
+           n_samples=st.integers(1, 3 * _kernels._block_rows(1) + 100),
            cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
            seed=st.integers(0, 2 ** 32))
     @settings(max_examples=25, deadline=None)

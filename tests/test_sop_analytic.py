@@ -71,6 +71,25 @@ class TestCoefficients:
         with pytest.raises(InvalidInputError):
             sop(rate=-1.0)
 
+    @pytest.mark.parametrize("rate", ["1", [1.0], None, True, np.True_,
+                                      1 + 0j])
+    def test_rate_must_be_a_real_number(self, rate):
+        # a string or a list used to raise a bare TypeError, and True
+        # passed as rate 1
+        with pytest.raises(InvalidInputError, match="real number"):
+            sop(rate=rate)
+
+    @pytest.mark.parametrize("scenario", [None, {"n_jammers": 2}, "s"])
+    def test_scenario_must_be_a_scenario(self, scenario):
+        # None used to be accepted, and sop_integral then raised an
+        # AttributeError
+        with pytest.raises(InvalidInputError, match="Scenario"):
+            SopScenario(scenario=scenario, rate=0.5)
+
+    def test_real_number_types_accepted(self):
+        for rate in (1, np.float32(0.5), np.int64(2), np.float64(0.25)):
+            assert sop(rate=rate).rate == rate
+
     def test_rate_must_keep_two_to_the_rate_finite(self):
         # 2.0 ** 1024 overflows; every route forms 2**rate
         for rate in (1024.0, 2000.0, np.inf, np.nan):

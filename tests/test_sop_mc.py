@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coopjam import (InvalidInputError, NumericalError, Scenario, SopScenario,
-                     estimate_sop, sop_integral)
+                     estimate_sop, sop_integral, sop_mc)
 from tests.conftest import conditioned_sop_scenario
 
 
@@ -65,6 +65,25 @@ class TestEstimator:
         # 7 + 2**64 used to return seed 7's estimate
         with pytest.raises(InvalidInputError, match=r"\[0, 2\*\*64\)"):
             estimate_sop(make_sop([0.7, 1.9]), 10_000, seed)
+
+    def test_samples_past_stream_end_rejected(self, monkeypatch):
+        # 2 jammers, 1 eavesdropper: 6 counters per sample.  2**70
+        # samples used to be accepted, their counters wrapping past 2**64
+        s = Scenario(n_jammers=2, n_eavesdroppers=1, p_source=2.0,
+                     p_max=np.array([0.7, 1.9]), sigma2_dest=0.1,
+                     sigma2_eaves=np.array([0.1]))
+        sc = SopScenario(scenario=s, rate=0.5)
+        last = 2 ** 64 // 6
+        for n_samples in (2 ** 70, last + 1):
+            with pytest.raises(InvalidInputError,
+                               match="past the end of the 2\\*\\*64"):
+                estimate_sop(sc, n_samples, 1)
+        # the longest run that fits reaches the kernel
+        counted = []
+        monkeypatch.setattr(sop_mc, "mc_outage_count",
+                            lambda *args: counted.append(args[-1]) or 0)
+        assert estimate_sop(sc, last, 1).p_out == 0.0
+        assert counted == [last]
 
     def test_numpy_integers_accepted_as_plain_types(self):
         sc = make_sop([0.7, 1.9])
