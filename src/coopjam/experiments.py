@@ -28,7 +28,7 @@ EXPERIMENTS = ("convergence", "table_ab", "comparison", "sop_vs_rate",
 
 CSV_VERSION = "coopjam csv v1"
 
-# GP rounds allowed to each algorithm_a run
+# GP solves allowed to each algorithm_a start
 ASCENT_MAX_ITER = 300
 
 
@@ -99,7 +99,7 @@ def _feasible_draws(scenario, seed, want):
 
 
 def run_convergence(cfg: ExperimentConfig):
-    """Secrecy rate after each ascent round, per fading draw."""
+    """Secrecy rate after each accepted ascent round, per fading draw."""
     s = cfg.scenario or default_scenario()
     rows = []
     for set_id, (index, gains) in enumerate(

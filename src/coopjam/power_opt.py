@@ -5,6 +5,13 @@ cross-check, a single-jammer baseline, and a stationarity report.
 ratios at the current point, solve the resulting GP, repeat until the
 exact secrecy rate stops improving.  Each round can only raise the true
 rate because the approximation touches from the conservative side.
+Two things cut the rounds and Newton steps this takes.  Every third
+round starts from a squared extrapolation of the two before it in log
+power (SQUAREM: Varadhan & Roland, Scand. J. Stat. 2008), and its result
+is kept only if it raises the exact rate.  Each GP is solved only to a
+duality gap of 1% of the last round's gain (inexact MM: Razaviyayn, Hong
+& Luo, SIAM J. Optim. 2013), never below 1e-9, and a loose round that
+does not gain is redone at 1e-9 before the ascent may stop.
 
 ``algorithm_b`` (search over received jamming power): fixing the total
 jamming power seen by the destination pins the destination SINR, after
@@ -17,6 +24,7 @@ global optimum without any convexification, an independent check on
 algorithm A.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +65,24 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
     """Iterated condense-and-solve ascent of the secrecy rate.
 
     Returns (allocation, rate, trace).  The trace records the exact rate
-    after every GP round and is nondecreasing; near-floor powers are
-    snapped to zero at the end and the final rate re-evaluated exactly.
+    after every accepted GP round and is nondecreasing; near-floor
+    powers are snapped to zero at the end and the final rate
+    re-evaluated exactly.  Should the snap leave a start below its own
+    starting rate, that start's allocation is its result instead.
     Assumes a feasible instance (see check_positive_secrecy).
+
+    Rounds run in cycles of three.  Two plain rounds take the log
+    powers z0 -> z1 -> z2; with r = z1 - z0, v = z2 - 2 z1 + z0 and
+    alpha = max(-4, min(-1, -|r|/|v|)), the third round starts from
+    z0 - 2 alpha r + alpha^2 v, clipped into the box.  It is accepted
+    only if its exact unclamped rate beats the current one; otherwise
+    it leaves no trace row and the ascent carries on from z2.  Each GP
+    is solved to tol max(1e-9, 0.01 * last accepted gain).  A plain
+    round solved at a looser tol that does not gain is redone from the
+    same point at 1e-9, and only a 1e-9 round may end the ascent as a
+    fixed point; a plain round gaining less than ``tol`` ends it too.
+    ``max_iter`` bounds the GP solves of each start, the redone and
+    rejected rounds included.
 
     The ascent is local, so the routine hedges against a bad basin: a
     custom ``p0`` is raced against the canonical half-power start, and
@@ -87,42 +110,87 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
             raise InvalidInputError(f"p0 must be finite, got {pv}")
         pv = np.clip(pv, 0.0, scenario.p_max)
 
-    def run(pv):
+    # log powers clipped to the strict interior the GP builder uses
+    p_lo = p_floor * (1 + 1e-6)
+    z_lo, z_hi = math.log(p_lo), np.log(scenario.p_max)
+
+    def log_point(p):
+        return np.log(np.clip(p, p_lo, scenario.p_max))
+
+    def run(start):
+        pv = start
         # Convergence runs on the unclamped rate -log2(worst ratio):
         # while the reported rate sits clamped at 0 the ratio can still
         # be descending, and stopping on a 0 -> 0 "improvement" would
         # strand the iteration before positive-rate territory.
         work = -np.log2(max_sinr_ratio(scenario, gains, pv))
         rates = [max(0.0, work)]
-        converged = False
         stop_reason = "max_iter"
-        for _ in range(max_iter):
+        solves = 0
+        gain = 0.0  # the last accepted round's gain; 0 asks for tol 1e-9
+        history = [log_point(pv)]  # accepted points since the last jump
+
+        def sca_round(p_from, gp_tol):
+            nonlocal solves
+            solves += 1
             try:
-                problem = build_approx_program(scenario, gains, pv)
-                sol = gp_solve(problem)
+                problem = build_approx_program(scenario, gains, p_from)
+                sol = gp_solve(problem, tol=gp_tol)
             except CoopJamError as err:
                 err.trace = IterationTrace(np.array(rates), False, "error")
                 raise
             p_new = np.clip(sol.x[:n], 0.0, scenario.p_max)
-            work_new = -np.log2(max_sinr_ratio(scenario, gains, p_new))
+            return p_new, -np.log2(max_sinr_ratio(scenario, gains, p_new))
+
+        while solves < max_iter:
+            gp_tol = max(1e-9, 0.01 * gain)
+            if len(history) == 3:
+                # Squared extrapolation of the last two rounds in log
+                # power, step length bounded so a jump cannot leave the
+                # basin; kept only if the round from there gains.
+                z0, z1, z2 = history
+                r, v = z1 - z0, z2 - 2.0 * z1 + z0
+                norm_v = math.sqrt(v.dot(v))
+                ratio = math.sqrt(r.dot(r)) / norm_v if norm_v else math.inf
+                alpha = max(-4.0, min(-1.0, -ratio))
+                z = np.clip(z0 - 2.0 * alpha * r + alpha * alpha * v,
+                            z_lo, z_hi)
+                p_new, work_new = sca_round(np.exp(z), gp_tol)
+                if work_new > work:
+                    rates.append(max(0.0, work_new))
+                    gain = work_new - work
+                    pv, work = p_new, work_new
+                history = [log_point(pv)]
+                continue
+            p_new, work_new = sca_round(pv, gp_tol)
+            if work_new <= work and gp_tol > 1e-9:
+                # An inexact solve may simply have stopped short: redo
+                # the round at full accuracy before calling it a stall.
+                gain = 0.0
+                continue
             if work_new < work - 1e-12:
                 # No exact improvement at solver accuracy: fixed point.
                 # Keep the previous iterate so the trace stays monotone.
-                converged = True
                 stop_reason = "tolerance"
                 break
             rates.append(max(0.0, work_new))
-            delta = work_new - work
+            gain = work_new - work
             pv, work = p_new, work_new
-            if delta < tol:
-                converged = True
+            history.append(log_point(pv))
+            if gain < tol:
                 stop_reason = "tolerance"
                 break
 
-        trace = IterationTrace(np.array(rates), converged, stop_reason)
+        trace = IterationTrace(np.array(rates), stop_reason == "tolerance",
+                               stop_reason)
         p_final = pv.copy()
         p_final[p_final <= ZERO_SNAP_FACTOR * p_floor] = 0.0
         rate_final = secrecy_rate(scenario, gains, p_final)
+        if rate_final < rates[0]:
+            # The rounds shifted the other jammers to offset near-floor
+            # ones, and zeroing those lost more than the ascent gained.
+            p_final = np.array(start, dtype=float)
+            rate_final = secrecy_rate(scenario, gains, p_final)
         return PowerAllocation(p_final), rate_final, trace
 
     alloc, rate, trace = run(pv)
