@@ -8,20 +8,28 @@ both sample_channels (draw_channel_arrays, one sample) and the outage
 kernel (a block of samples at a time).
 
 The outage kernel is blocked and multi-core: each CPU the process may
-run on counts one contiguous range of samples, one block at a time.  A
-block is as many samples as fit a first pass of 81,920 draws (8,192
-samples at n = 4).  Every array the blocks write, the draws, SINRs and
-thresholds included, is allocated once per range.  The kernel works
-one eavesdropper at a time.  The first pass draws, for every sample of
-the block, the destination's gains and eavesdropper 0's (2 + 2n
-draws) and forms the outage threshold SINR_d/mu + nu.  Pass j draws
-eavesdropper j's 1 + n gains only for the samples still out of
-outage, from their compressed hash bases, and the block ends once none
-are left.  Outage is max_j SINR_e_j >= threshold, so a sample's later
-draws cannot change the count.  Since every draw depends on its
-counter alone, skipping them moves no other draw, and the count does
-not depend on the number of workers, the block size or the order of
-the eavesdroppers.
+run on counts one contiguous range of samples.  Every array it writes,
+the draws, SINRs, thresholds and queues included, is allocated once
+per range.  The kernel works one eavesdropper at a time, and every pass
+runs on a full budget of 81,920 draws.  The first pass goes block by
+block, as many samples as fit 2 + 2n draws each into the budget (8,192
+samples at n = 4): it draws the destination's and eavesdropper 0's
+gains and forms the outage threshold SINR_d/mu + nu.  A sample still
+out of outage joins queue 1 as its absolute hash base and threshold.
+Pass j draws eavesdropper j's 1 + n gains for a chunk of queue j, as
+many samples as fit 1 + n draws each into the budget (16,384 at
+n = 4), whenever the queue holds that many, and its survivors join
+queue j + 1.  At the end of the range the queues are flushed in order,
+1 to m - 1: each runs what it holds, and the queues behind it still
+run whenever they hold a chunk, so a queue's last pass is the only
+one that may be short of a chunk.
+
+Outage is max_j SINR_e_j >= threshold, so a sample's later draws cannot
+change the count, and a sample's draws depend on its counter alone, not
+on which samples it shares a block or chunk with.  Skipping draws moves
+no other draw and regrouping samples moves none either, so the count
+does not depend on the number of workers, the block or chunk size, the
+order of the eavesdroppers or the order in which the queues run.
 
 Draw layout for fading sample ``i`` of a network with ``n`` jammers and
 ``m`` eavesdroppers (``d = 1 + m + n + m*n`` draws per sample, counters
@@ -99,13 +107,16 @@ def _hash_bases(key: int, d: int, rows: int):
 
 
 def _exponential_block(sample, offset, words, draws):
-    """Unit-rate exponential draws -log1p(-u) for the hash inputs
+    """Negated unit-rate exponential draws log1p(-u) for the hash inputs
     ``offset[c] + sample[i]`` (mod 2**64), written into ``draws[c, i]``.
 
     ``words`` (uint64) and ``draws`` (float64) are (offset.size,
     sample.size) buffers, one row per draw offset so that the broadcast
     add runs along the samples; splitmix64 runs in place in ``words``,
     and the shifted words live in the draw buffer until the draws do.
+    The draws come out negated, which saves a pass: the outage kernel
+    forms its SINRs from negated gains (see _sinr), and negation is
+    exact.
     """
     z = words
     t = draws.view(np.uint64)
@@ -120,9 +131,10 @@ def _exponential_block(sample, offset, words, draws):
     z ^= t
     z >>= _U64(11)
     # -u in one step: scaling by -2**-53 is exact, as is the sign flip.
-    np.multiply(z, -_INV_2_53, out=draws)
+    # The words are below 2**53, so their int64 view holds the same
+    # values and converts to float faster than uint64 does.
+    np.multiply(z.view(np.int64), -_INV_2_53, out=draws)
     np.log1p(draws, out=draws)
-    np.negative(draws, out=draws)
 
 
 def draw_channel_arrays(seed: int, index: int, n: int, m: int):
@@ -133,7 +145,7 @@ def draw_channel_arrays(seed: int, index: int, n: int, m: int):
     draws = np.empty((d, 1))
     _exponential_block(sample, offset + _U64((index * shift) & _MASK),
                        words, draws)
-    e = draws[:, 0]
+    e = -draws[:, 0]
     h_d = e[0]
     h_e = e[1:1 + m].copy()
     g_d = e[1 + m:1 + m + n].copy()
@@ -145,15 +157,19 @@ def draw_channel_arrays(seed: int, index: int, n: int, m: int):
 # outage kernel
 # ---------------------------------------------------------------------------
 
-# Draws per block of the outage kernel.  A block holds as many samples
-# as fit one first pass, 2 + 2n draws each, into this budget (see
+# Draws per pass of the outage kernel.  A first-pass block holds as
+# many samples as fit 2 + 2n draws each into this budget (see
 # _block_rows): 8,192 samples at n = 4, 20,480 at n = 1, one at any n
-# whose first pass alone is larger.  A worker's two reused draw buffers
-# (uint64 words and float64 draws) are then 0.66 MB each at every n up
-# to 40,959, so the working set stays in the core's cache.  Each numpy
-# call of a block then runs over enough draws that the workers seldom
-# wait on each other for the interpreter lock between calls; smaller
-# blocks made two workers slower than one.
+# whose first pass alone is larger.  A later pass takes a chunk of its
+# queue, as many samples as fit 1 + n draws each (see _chunk_rows):
+# 16,384 at n = 4.  A worker's two reused draw buffers (uint64 words
+# and float64 draws) are then 0.66 MB each at every n up to 40,959, so
+# the working set stays in the core's cache, and each queue holds
+# fewer than two chunks.  Each numpy call of a pass then runs over
+# enough draws that the workers seldom wait on each other for the
+# interpreter lock between calls; smaller blocks made two workers
+# slower than one, and so did later passes over a single block's
+# survivors.
 _BLOCK = 81_920
 # Runs of fewer blocks than this stay on the calling thread.
 _MIN_SPLIT = 4
@@ -193,29 +209,38 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK // (2 + 2 * n))
 
 
+def _chunk_rows(n: int) -> int:
+    """Samples per later pass with ``n`` jammers: as many passes of
+    1 + n draws as fit _BLOCK draws, and at least one."""
+    return max(1, _BLOCK // (1 + n))
+
+
 def _eavesdropper_offsets(n: int, m: int, j: int):
     """Draw offsets of eavesdropper j's gains: h_e_j, then g_e_j."""
     return np.r_[1 + j, 1 + m + n + j * n:1 + m + n + (j + 1) * n]
 
 
 def _sinr(ps, h, p, g, noise, out, den):
-    """ps * h / (p @ g + noise), written into ``out``; ``den`` is
-    scratch of the same size."""
+    """ps * h / (p @ g + noise) from the negated gains ``h`` and ``g``
+    as (ps * h) / (p @ g - noise), written into ``out``; ``den`` is
+    scratch of the same size.
+
+    Negation is exact and rounding is symmetric in sign, so both forms
+    give the same bits.
+    """
     np.multiply(ps, h, out=out)
     np.matmul(p, g, out=den)
-    np.add(den, noise, out=den)
+    np.subtract(den, noise, out=den)
     return np.divide(out, den, out=out)
 
 
 def _mc_outage_range(ps, p, sig2d, sig2e, mu, nu, key, start, stop):
-    """Outage count over samples ``start .. stop - 1``, block by block.
+    """Outage count over samples ``start .. stop - 1``.
 
-    Each block draws the destination's and eavesdropper 0's gains for
-    every sample, then eavesdropper j's only for the samples that no
-    earlier eavesdropper has put in outage.  Every array the blocks
-    write is allocated here, once per range; the survivors' hash bases
-    and thresholds move between two buffers of each, one pass to the
-    next.
+    The passes and queues are those of the module docstring.  Queue j,
+    the samples left for pass j, is row j - 1 of ``bases`` and
+    ``thresholds``, filled up to ``fill[j - 1]``.  Every array the
+    passes write is allocated here, once per range.
     """
     if stop <= start:
         return 0
@@ -224,17 +249,70 @@ def _mc_outage_range(ps, p, sig2d, sig2e, mu, nu, key, start, stop):
     d = 1 + m + n + m * n
     width = 2 + 2 * n
     rows = min(_block_rows(n), stop - start)
+    chunk = _chunk_rows(n)
+    # A queue holds less than a chunk after its pass has run, and it
+    # takes at most a chunk from the pass before.
+    cap = min(2 * chunk - 1, stop - start)
+    wide = min(chunk, cap)  # samples in the widest later pass
     sample, offset, shift = _hash_bases(key, d, rows)
-    first = offset[np.r_[0, 1 + m:1 + m + n, _eavesdropper_offsets(n, m, 0)]]
+    # h_d and h_e_0, then g_d and g_e_0: one (2, k) batch of SINRs.
+    first = offset[np.r_[0, 1, 1 + m:1 + m + 2 * n]]
     later = [offset[_eavesdropper_offsets(n, m, j)] for j in range(1, m)]
-    words = np.empty(rows * width, dtype=np.uint64)
-    draws = np.empty(rows * width)
+    noise = np.array([[sig2d], [sig2e[0]]])
+    size = max(rows * width, wide * (1 + n))
+    words = np.empty(size, dtype=np.uint64)
+    draws = np.empty(size)
     moved = np.empty(width, dtype=np.uint64)
-    sinr = np.empty(rows)
-    den = np.empty(rows)
-    flags = np.empty(rows, dtype=bool)
-    bases = np.empty((2, rows), dtype=np.uint64)
-    thresholds = np.empty((2, rows))
+    sinr = np.empty(max(2 * rows, wide))
+    den = np.empty_like(sinr)
+    flags = np.empty(sinr.size, dtype=bool)
+    bases = np.empty((m - 1, cap), dtype=np.uint64)
+    thresholds = np.empty((m - 1, cap))
+    fill = [0] * (m - 1)
+
+    def push(q, live, base, threshold):
+        """Append the samples flagged ``live`` to queue q + 1; returns
+        their hash bases there."""
+        kept = np.flatnonzero(live)
+        lo = fill[q]
+        hi = fill[q] = lo + kept.size
+        # mode="clip" writes straight into ``out``; the indices are valid.
+        np.take(threshold, kept, out=thresholds[q, lo:hi], mode="clip")
+        return np.take(base, kept, out=bases[q, lo:hi], mode="clip")
+
+    def later_pass(q):
+        """Pass q + 1 over the head of its queue: a chunk, or all the
+        queue holds if less.  Returns the outages found."""
+        c = min(chunk, fill[q])
+        y = draws[:c * (1 + n)].reshape(1 + n, c)
+        _exponential_block(bases[q, :c], later[q],
+                           words[:c * (1 + n)].reshape(1 + n, c), y)
+        e = _sinr(ps, y[0], p, y[1:], sig2e[q + 1], sinr[:c], den[:c])
+        live = np.less(e, thresholds[q, :c], out=flags[:c])
+        if q + 2 < m:
+            left = push(q + 1, live, bases[q, :c], thresholds[q, :c]).size
+        else:
+            left = int(np.count_nonzero(live))
+        rest = fill[q] - c
+        bases[q, :rest] = bases[q, c:fill[q]]
+        thresholds[q, :rest] = thresholds[q, c:fill[q]]
+        fill[q] = rest
+        return c - left
+
+    def cascade(q):
+        """Run the passes of queues q, q + 1, ... while they hold a
+        chunk.  Each held less than a chunk before the pass ahead of it
+        last ran and gained at most a chunk from it, so each runs at
+        most once.  Returns the outages found."""
+        hits = 0
+        for r in range(q, m - 1):
+            if fill[r] < chunk:
+                break
+            hits += later_pass(r)
+        return hits
+
+    # SINRs are never NaN, so a sample is out of outage exactly when
+    # SINR_e < threshold.
     count = 0
     for lo in range(start, stop, rows):
         k = min(rows, stop - lo)
@@ -242,33 +320,24 @@ def _mc_outage_range(ps, p, sig2d, sig2e, mu, nu, key, start, stop):
         x = draws[:k * width].reshape(width, k)
         _exponential_block(sample[:k], np.add(first, at, out=moved),
                            words[:k * width].reshape(width, k), x)
-        # p @ (n, k) products may differ from the earlier kernel's
-        # (k, n) @ p in a SINR's last bit; a count moves only if that
-        # SINR lies within one ulp of its threshold.
-        threshold = _sinr(ps, x[0], p, x[1:1 + n], sig2d, thresholds[0, :k],
-                          den[:k])
-        np.divide(threshold, mu, out=threshold)
+        # Row 0 is SINR_d, row 1 SINR_e_0.  p @ (2, n, k) gives each
+        # row the bits p @ (n, k) gives it alone.
+        s = _sinr(ps, x[:2], p, x[2:].reshape(2, n, k), noise,
+                  sinr[:2 * k].reshape(2, k), den[:2 * k].reshape(2, k))
+        threshold = np.divide(s[0], mu, out=s[0])
         np.add(threshold, nu, out=threshold)
-        e = _sinr(ps, x[1 + n], p, x[2 + n:], sig2e[0], sinr[:k], den[:k])
-        hit = np.greater_equal(e, threshold, out=flags[:k])
-        hits = int(np.count_nonzero(hit))
-        count += hits
-        alive = sample[:k]
-        for j, (eaves, noise) in enumerate(zip(later, sig2e[1:]), 1):
-            if hits == alive.size:
-                break
-            live = np.logical_not(hit, out=hit)
-            c = alive.size - hits
-            alive = np.compress(live, alive, out=bases[j % 2, :c])
-            threshold = np.compress(live, threshold,
-                                    out=thresholds[j % 2, :c])
-            y = draws[:c * (1 + n)].reshape(1 + n, c)
-            _exponential_block(alive, np.add(eaves, at, out=moved[:1 + n]),
-                               words[:c * (1 + n)].reshape(1 + n, c), y)
-            e = _sinr(ps, y[0], p, y[1:], noise, sinr[:c], den[:c])
-            hit = np.greater_equal(e, threshold, out=flags[:c])
-            hits = int(np.count_nonzero(hit))
-            count += hits
+        live = np.less(s[1], threshold, out=flags[:k])
+        if m == 1:
+            count += k - int(np.count_nonzero(live))
+            continue
+        queued = push(0, live, sample[:k], threshold)
+        queued += at  # absolute hash bases, exact in uint64
+        count += k - queued.size + cascade(0)
+    # Flush queue by queue; the passes behind each flush still run on
+    # full chunks, so no queue outgrows its two chunks.
+    for q in range(m - 1):
+        if fill[q]:
+            count += later_pass(q) + cascade(q + 1)
     return count
 
 

@@ -8,13 +8,14 @@ the only place dB is converted (x_dB = 10*log10 x).
 
 import functools
 import json
+import math
 import sys
 
 import click
 
 from . import __version__
-from .errors import (CoopJamError, DegeneratePowersError, NumericalError,
-                     ResourceLimitError)
+from .errors import (CoopJamError, DegeneratePowersError, InvalidInputError,
+                     NumericalError, ResourceLimitError)
 from .experiments import (EXPERIMENTS, ExperimentConfig, default_scenario,
                           run_experiment, write_rows)
 from .feasibility import check_positive_secrecy
@@ -48,6 +49,27 @@ def _load(scenario_path, seed, index):
     if gains is None:
         gains = sample_channels(scenario, seed, index=index)
     return scenario, gains
+
+
+def _sweep_values(text, option, in_db):
+    """The comma-separated values of ``option`` in linear units; a value
+    that is not a number, or not finite in linear units, raises
+    InvalidInputError naming it."""
+    values = []
+    for item in text.split(","):
+        try:
+            value = float(item)
+            if in_db:
+                value = 10.0 ** (value / 10.0)
+        except (ValueError, OverflowError):
+            value = math.nan
+        if not math.isfinite(value):
+            unit = " dB" if in_db else ""
+            raise InvalidInputError(
+                f"{option} value {item.strip()!r}{unit} is not a finite "
+                "number in linear units")
+        values.append(value)
+    return values
 
 
 def _emit(doc, as_json):
@@ -196,9 +218,9 @@ def experiment(name, scenario_path, seed, out_path, samples, sets, sweep,
         raise click.UsageError("--sweep and --sweep-db are exclusive")
     values = []
     if sweep:
-        values = [float(v) for v in sweep.split(",")]
+        values = _sweep_values(sweep, "--sweep", in_db=False)
     elif sweep_db:
-        values = [10.0 ** (float(v) / 10.0) for v in sweep_db.split(",")]
+        values = _sweep_values(sweep_db, "--sweep-db", in_db=True)
     scenario = None
     if scenario_path:
         scenario, _ = load_scenario(scenario_path)

@@ -273,6 +273,19 @@ class TestExperiment:
                                    "--sweep", "1", "--sweep-db", "0"])
         assert res.exit_code != 0
 
+    @pytest.mark.parametrize("option, values, bad", [
+        ("--sweep", "1,abc", "'abc'"),
+        ("--sweep", "2,inf", "'inf'"),
+        ("--sweep-db", "0,4000", "'4000' dB"),
+        ("--sweep-db", "x", "'x' dB"),
+    ])
+    def test_bad_sweep_value_is_failure(self, runner, option, values, bad):
+        res = runner.invoke(main, ["experiment", "--name", "sop_vs_ps",
+                                   option, values])
+        assert res.exit_code == EXIT_FAILURE
+        assert "Traceback" not in res.output
+        assert res.output.startswith(f"error: {option} value {bad}")
+
     def test_output_file_deterministic(self, runner, tmp_path):
         files = []
         for name in ("x.csv", "y.csv"):

@@ -10,7 +10,7 @@ outage.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopjam import _kernels
@@ -18,7 +18,8 @@ from coopjam import _kernels
 
 def exponentials(seed, start, count):
     """Draws at counters start .. start + count - 1 from the block
-    generator, as ``count`` samples of one draw each."""
+    generator, as ``count`` samples of one draw each.  The generator
+    writes them negated."""
     sample, offset, shift = _kernels._hash_bases(_kernels.seed_key(seed), 1,
                                                  count)
     words = np.empty((1, count), dtype=np.uint64)
@@ -26,7 +27,7 @@ def exponentials(seed, start, count):
     _kernels._exponential_block(sample, offset + np.uint64(start * shift
                                                            % 2 ** 64),
                                 words, draws)
-    return draws.ravel()
+    return -draws.ravel()
 
 
 def reference(seed, counters):
@@ -48,7 +49,7 @@ class TestStream:
                                                        % 2 ** 64),
                                     offset, words, draws)
         want = reference(seed, range(first * d, (first + rows) * d))
-        assert draws.T.ravel().tolist() == want.tolist()
+        assert (-draws).T.ravel().tolist() == want.tolist()
 
     def test_unit_exponential(self):
         e = exponentials(0, 0, 100_000)
@@ -175,6 +176,27 @@ class TestPinnedCounts:
         (6, 3): ((5850, 5851, 5852, 23_404), (5030, 5031, 5032, 20139)),
     }
 
+    # Recorded with the kernel that drew each later eavesdropper for one
+    # block's survivors at a time, before the queued passes replaced it.
+    # Keyed by (n, m, workers): sample counts that leave part-full queues
+    # at the end of each worker's range, and their outage counts.
+    QUEUE_PINNED = {
+        (3, 3, 2): ((200_001, 99_999), (165850, 82841)),
+        (4, 4, 2): ((200_001, 99_999), (175855, 87939)),
+        (3, 3, 1): ((50_021,), (41443,)),
+        (4, 4, 1): ((50_021,), (43962,)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(QUEUE_PINNED))
+    def test_counts_with_part_full_queues(self, case, monkeypatch):
+        n, m, workers = case
+        monkeypatch.setattr(_kernels, "_WORKERS", workers)
+        counts, want = self.QUEUE_PINNED[case]
+        got = tuple(_kernels.mc_outage_count(n_samples=count,
+                                             **kernel_args(n, m))
+                    for count in counts)
+        assert got == want
+
     def test_sample_counts_straddle_one_block(self):
         for (n, _), (counts, _) in self.DRAW_BLOCK_PINNED.items():
             rows = _kernels._block_rows(n)
@@ -220,6 +242,10 @@ class TestDrawBudget:
 
     @given(n=st.integers(1, 6), m=st.integers(1, 4),
            n_samples=st.integers(1, 3000), seed=st.integers(0, 2 ** 32))
+    # both workers end their ranges with every queue part full
+    @example(n=3, m=4, n_samples=2999, seed=7)
+    # a flush that once overfilled the queue behind it
+    @example(n=1, m=4, n_samples=546, seed=7533)
     @settings(max_examples=30, deadline=None)
     def test_tiny_budget_gives_the_same_count(self, n, m, n_samples, seed):
         # blocks of 4 to 16 samples, split across two workers from 4
@@ -232,6 +258,55 @@ class TestDrawBudget:
             assert _kernels._block_rows(n) == 64 // (2 + 2 * n)
             tiny = _kernels.mc_outage_count(n_samples=n_samples, **args)
         assert tiny == default
+
+
+class TestFullWidthPasses:
+    """Later passes run on whole chunks of their queue, not on one
+    block's survivors."""
+
+    @staticmethod
+    def later_widths(n, monkeypatch):
+        """Sample counts of each later pass's calls, on one worker, keyed
+        by the pass."""
+        widths = {}
+        generate = _kernels._exponential_block
+
+        def recording(sample, offset, words, draws):
+            if draws.shape[0] == 1 + n:  # a later pass
+                # a pass's offsets are the same on every call
+                widths.setdefault(int(offset[0]), []).append(sample.size)
+            generate(sample, offset, words, draws)
+
+        monkeypatch.setattr(_kernels, "_exponential_block", recording)
+        monkeypatch.setattr(_kernels, "_WORKERS", 1)
+        return widths
+
+    @staticmethod
+    def assert_full_chunks(widths, n, m):
+        chunk = _kernels._BLOCK // (1 + n)
+        assert len(widths) == m - 1
+        for calls in widths.values():
+            assert len(calls) > 1
+            assert calls[:-1] == [chunk] * (len(calls) - 1)
+            assert 0 < calls[-1] <= chunk
+
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 3), (4, 4)])
+    def test_only_the_final_flush_is_short(self, shape, monkeypatch):
+        widths = self.later_widths(shape[0], monkeypatch)
+        _kernels.mc_outage_count(n_samples=200_000, **kernel_args(*shape))
+        self.assert_full_chunks(widths, *shape)
+
+    def test_flush_keeps_the_queues_behind_it_in_bounds(self, monkeypatch):
+        # Rare outages leave each queue close to a chunk at the end of
+        # the range, so flushing one queue can fill the next; the next
+        # must run its full chunks before it takes more.  The count was
+        # recorded with the kernel that drew each later eavesdropper for
+        # one block's survivors at a time.
+        args = dict(kernel_args(1, 4, seed=9, rate=0.01),
+                    sig2e=np.full(4, 1e3))
+        widths = self.later_widths(1, monkeypatch)
+        assert _kernels.mc_outage_count(n_samples=150_000, **args) == 270
+        self.assert_full_chunks(widths, 1, 4)
 
 
 def count_draws(monkeypatch):
