@@ -66,6 +66,7 @@ def check_positive_secrecy(scenario: Scenario, gains: ChannelGains,
     the instance sits on the feasibility boundary and the verdict is
     margin-sensitive.
     """
+    _check_dims(scenario, gains)
     if strict_margin is None:
         strict_margin = default_strict_margin(scenario, gains)
     elif not np.isfinite(strict_margin):

@@ -14,9 +14,9 @@ solver, a primal-dual interior-point method in log space, reads them
 directly.  Only the condensed denominators and the warm start change
 from one SCA round to the next, so the rest of a program (which terms
 zero gains leave out, the fixed coefficients and exponents, the
-objective and the solver's index arrays) is built and checked once per
-(scenario, gains) pair and kept for the next call on that pair.  The
-solver centres with a long step: after a nearly full Newton step it
+objective and the solver's index arrays) is a ``_ProgramLayout``, built
+and checked once per ``algorithm_a`` call and passed to every round.
+The solver centres with a long step: after a nearly full Newton step it
 aims at a duality gap 20 times smaller than the current one, after a
 damped step only 5 times smaller.  ``Monomial``, ``Posynomial`` and
 ``condense`` work on single expressions given term by term.
@@ -76,11 +76,8 @@ class Monomial:
 
 
 class Posynomial:
-    """Sum of monomials over a common variable vector.
-
-    Keeps its ``terms`` and their coefficient vector and exponent matrix
-    (one row per term).
-    """
+    """Sum of monomials over a common variable vector, held as their
+    coefficient vector and exponent matrix (one row per term)."""
 
     def __init__(self, terms):
         terms = tuple(terms)
@@ -91,7 +88,6 @@ class Posynomial:
             raise InvalidInputError(f"mixed term widths {widths}")
         self.coeffs = np.array([t.coeff for t in terms])
         self.exponent_matrix = np.vstack([t.exponents for t in terms])
-        self.terms = terms
 
     @property
     def n_vars(self) -> int:
@@ -171,21 +167,15 @@ def _ratio_factors(scenario: Scenario, gains: ChannelGains):
             np.column_stack([gains.g_e, s_e]))
 
 
-def _condensed_denominators(c: np.ndarray, e: np.ndarray, p: np.ndarray):
-    """Every denominator C(p) E_m(p) condensed at the positive point
-    ``p``, as the product of C's and E_m's own condensations.
+def _condense_denominator_logs(log_ce: np.ndarray, log_p: np.ndarray):
+    """Every denominator C(p) E_m(p) condensed at the positive point p,
+    as the product of C's and E_m's own condensations, from the logs
+    ``log_ce`` of the stacked rows [C; E] (``_ProgramLayout.log_ce``)
+    and ``log_p`` of the point.
 
     Returns log coefficients log_den (M,) and exponents e_den (M, N):
     condensed ratio m at q is A_m(q) B(q) / exp(log_den[m] + e_den[m] @ log q).
     """
-    with np.errstate(divide="ignore"):
-        log_ce = np.log(np.vstack([c, e]))
-    return _condense_denominator_logs(log_ce, np.log(p))
-
-
-def _condense_denominator_logs(log_ce: np.ndarray, log_p: np.ndarray):
-    """``_condensed_denominators`` from the logs of the stacked rows
-    [C; E] and of the point."""
     n = log_p.size
     log_hat, e_hat, _ = _condense_rows(log_ce, np.eye(n + 1, n), log_p)
     return log_hat[0] + log_hat[1:], e_hat[0] + e_hat[1:]
@@ -266,15 +256,19 @@ def default_power_floor(scenario: Scenario) -> float:
 
 class _ProgramLayout:
     """Everything of a (scenario, gains) pair's SCA programs that does
-    not depend on the expansion point, built and checked once.
+    not depend on the expansion point, built and checked once per
+    ``algorithm_a`` call, which passes it to every round's
+    ``build_approx_program``.
 
-    Holds the ratio factors a, b (``_ratio_factors``) for the warm
-    start, the logs of the stacked rows [C; E] for the condensation, and
-    the constraint arrays with the condensed denominators left out: the
-    log coefficients and exponent rows of every kept term (zero gains
-    drop theirs), ``sizes``, the solver's index arrays and the
-    objective.  ``owner`` names the eavesdropper row of each of the
-    first ``n_ratio`` terms, the ones a round's condensation updates.
+    Holds the strict-interior clip ``clip_lo`` .. ``clip_hi`` of the
+    expansion points, the ratio factors a, b (``_ratio_factors``) for
+    the warm start, the logs ``log_ce`` of the stacked rows [C; E] for
+    the condensation, and the constraint arrays with the condensed
+    denominators left out: the log coefficients and exponent rows of
+    every kept term (zero gains drop theirs), ``sizes``, the solver's
+    index arrays and the objective.  ``owner`` names the eavesdropper
+    row of each of the first ``n_ratio`` terms, the ones a round's
+    condensation updates.
     """
 
     def __init__(self, scenario: Scenario, gains: ChannelGains):
@@ -322,26 +316,9 @@ class _ProgramLayout:
         self.starts, self.groups = _constraint_index(self.sizes)
 
 
-# The last pair's layout as one (scenario, gains, layout) tuple.  Both
-# are frozen with read-only arrays, so the pair's identity pins its data,
-# and the strong references keep either id from being reused; readers
-# unpack the tuple once and writers replace it whole, so threads never
-# see a torn entry.
-_last_layout = (None, None, None)
-
-
-def _layout(scenario: Scenario, gains: ChannelGains) -> _ProgramLayout:
-    global _last_layout
-    cached_s, cached_g, layout = _last_layout
-    if cached_s is scenario and cached_g is gains:
-        return layout
-    layout = _ProgramLayout(scenario, gains)
-    _last_layout = (scenario, gains, layout)
-    return layout
-
-
-def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde):
-    """GP whose solution improves the secrecy rate from ``p_tilde``.
+def build_approx_program(layout: _ProgramLayout, p_tilde):
+    """GP whose solution improves the secrecy rate from ``p_tilde``, for
+    the (scenario, gains) pair of ``layout``.
 
     Variables are (p_1..p_N, t, v); t upper-bounds every condensed SINR
     ratio, so minimising t maximises the approximate secrecy rate, and v
@@ -351,14 +328,11 @@ def build_approx_program(scenario: Scenario, gains: ChannelGains, p_tilde):
     and p_floor <= p_i for each jammer, p_floor from default_power_floor.
 
     Only the condensed denominators and the warm start depend on
-    ``p_tilde``.  The rest of the program, its term layout included, is
-    built and checked once per (scenario, gains) pair and kept for the
-    next call on the same pair, so the rounds of one ``algorithm_a``
-    call each write just the eavesdroppers' log coefficients and
-    exponent rows.
+    ``p_tilde``; the rest of the program, its term layout included,
+    comes from ``layout``, so each round writes just the eavesdroppers'
+    log coefficients and exponent rows.
     """
-    layout = _layout(scenario, gains)
-    n = scenario.n_jammers
+    n = layout.clip_hi.size
     p_tilde = np.asarray(p_tilde, dtype=float)
     if p_tilde.shape != (n,):
         raise InvalidInputError(f"expansion point shape {p_tilde.shape} != ({n},)")

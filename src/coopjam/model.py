@@ -157,7 +157,18 @@ def _allocations(scenario: Scenario, p, batch: bool = False) -> np.ndarray:
     return p
 
 
+def _check_type(name, value, cls):
+    """InvalidInputError naming ``cls`` unless ``value`` is one."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(
+            f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _check_dims(scenario: Scenario, gains: ChannelGains):
+    """The check of every (scenario, gains) entry point: the types, and
+    gains shaped for the scenario's jammers and eavesdroppers."""
+    _check_type("scenario", scenario, Scenario)
+    _check_type("gains", gains, ChannelGains)
     if gains.g_e.shape != (scenario.n_eavesdroppers, scenario.n_jammers):
         raise InvalidInputError(
             f"gains shaped {gains.g_e.shape} do not match scenario "

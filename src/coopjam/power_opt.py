@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CoopJamError, InvalidInputError, NumericalError
 from .feasibility import check_positive_secrecy
-from .gp import (_condensed_denominators, _positive_tol, _ratio_factors,
+from .gp import (_condense_denominator_logs, _positive_tol, _ProgramLayout,
                  build_approx_program, default_power_floor, gp_solve)
 from .model import (ChannelGains, PowerAllocation, Scenario, _ArrayEq,
                     _allocations, _check_dims, _integer, _p_vec, _sinrs,
@@ -109,13 +109,14 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
         if not np.isfinite(pv).all():
             raise InvalidInputError(f"p0 must be finite, got {pv}")
         pv = np.clip(pv, 0.0, scenario.p_max)
+    # one program layout serves every round of every start
+    layout = _ProgramLayout(scenario, gains)
 
     # log powers clipped to the strict interior the GP builder uses
-    p_lo = p_floor * (1 + 1e-6)
-    z_lo, z_hi = math.log(p_lo), np.log(scenario.p_max)
+    z_lo, z_hi = math.log(layout.clip_lo), np.log(scenario.p_max)
 
     def log_point(p):
-        return np.log(np.clip(p, p_lo, scenario.p_max))
+        return np.log(np.clip(p, layout.clip_lo, scenario.p_max))
 
     def run(start):
         pv = start
@@ -134,7 +135,7 @@ def algorithm_a(scenario: Scenario, gains: ChannelGains, p0=None,
             nonlocal solves
             solves += 1
             try:
-                problem = build_approx_program(scenario, gains, p_from)
+                problem = build_approx_program(layout, p_from)
                 sol = gp_solve(problem, tol=gp_tol)
             except CoopJamError as err:
                 err.trace = IterationTrace(np.array(rates), False, "error")
@@ -484,9 +485,10 @@ def kkt_check(scenario: Scenario, gains: ChannelGains, p_star) -> KktReport:
     _check_dims(scenario, gains)
     pv = _allocations(scenario, p_star)
     p_floor = default_power_floor(scenario)
-    p_ref = np.clip(pv, p_floor * (1 + 1e-6), scenario.p_max)
-    a, b, c, e = _ratio_factors(scenario, gains)
-    log_den, e_den = _condensed_denominators(c, e, p_ref)
+    layout = _ProgramLayout(scenario, gains)
+    p_ref = np.clip(pv, layout.clip_lo, scenario.p_max)
+    a, b = layout.a, layout.b
+    log_den, e_den = _condense_denominator_logs(layout.log_ce, np.log(p_ref))
 
     # both ratio forms at the allocations given as the rows of q, (k, M)
     def gamma_exact(q):

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import (DegeneratePowersError, InvalidInputError,
                      NumericalError, ResourceLimitError)
-from .model import Scenario, _integer
+from .model import Scenario, _check_type, _integer
 from .numerics import _TINY, integrate_semi_infinite, scaled_exp_integral_ei
 
 MIN_RELATIVE_POWER_GAP = 1e-6
@@ -81,15 +81,20 @@ class SopScenario:
     rate: float
 
     def __post_init__(self):
-        if not isinstance(self.scenario, Scenario):
-            raise InvalidInputError(
-                f"scenario must be a Scenario, got {self.scenario!r}")
+        _check_type("scenario", self.scenario, Scenario)
         if isinstance(self.rate, bool) or not isinstance(self.rate, Real):
             raise InvalidInputError(
                 f"rate target must be a real number, got {self.rate!r}")
         if not 0 < self.rate < 1024:
             raise InvalidInputError(
                 f"rate target must be > 0 and < 1024, got {self.rate}")
+
+
+def _scenario_of(sc) -> Scenario:
+    """The check of every SopScenario entry point: ``sc``'s Scenario,
+    InvalidInputError unless ``sc`` is a SopScenario."""
+    _check_type("sc", sc, SopScenario)
+    return sc.scenario
 
 
 def coeff_a(powers) -> np.ndarray:
@@ -117,7 +122,10 @@ def coeff_a(powers) -> np.ndarray:
 def _cdf_sinr_max(x, powers, ps, sigma2s):
     """CDF of the largest of independent SINRs ps*h / (sum_n P_n g_n +
     sigma2), one per noise variance in the array ``sigma2s``, all gains
-    unit-mean exponential, evaluated elementwise for x >= 0.
+    unit-mean exponential, evaluated elementwise for x >= 0.  With
+    ``sigma2s`` the destination's noise alone it is the destination
+    SINR's CDF; with the eavesdroppers' noises, that of their best SINR
+    (independent across eavesdroppers given the fixed jammer powers).
 
     The jamming sum is the same for every receiver, so its Laplace
     transform L(x) is formed once and all factors of the product are
@@ -135,11 +143,6 @@ def _cdf_sinr_max(x, powers, ps, sigma2s):
     return np.multiply.reduce(val)
 
 
-def cdf_gamma_d(x, scenario: Scenario):
-    return _cdf_sinr_max(x, scenario.p_max, scenario.p_source,
-                         np.array([scenario.sigma2_dest]))
-
-
 def _pdf_dest(u, p, ps: float, sig_d: float):
     """Destination SINR density, elementwise over u >= 0, for jammer
     powers ``p``, source power ``ps`` and noise ``sig_d``: the
@@ -150,13 +153,6 @@ def _pdf_dest(u, p, ps: float, sig_d: float):
     lap = np.multiply.reduce(ps / denom, -1)
     rate = sig_d / ps + np.add.reduce(p / denom, -1)
     return np.exp(-sig_d * u / ps) * lap * rate
-
-
-def cdf_gamma_emax(x, scenario: Scenario):
-    """CDF of the largest eavesdropper SINR (independent across
-    eavesdroppers given the fixed jammer powers)."""
-    return _cdf_sinr_max(x, scenario.p_max, scenario.p_source,
-                         scenario.sigma2_eaves)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +187,7 @@ def sop_integral(sc: SopScenario) -> SopResult:
 
     ``error_estimate`` is mu times the quadrature's error estimate.
     """
-    s = sc.scenario
+    s = _scenario_of(sc)
     mu = 2.0 ** sc.rate
     nu = 2.0 ** (-sc.rate) - 1.0
     p, sig_e = s.p_max, s.sigma2_eaves
@@ -378,7 +374,7 @@ def sop_closed_form(sc: SopScenario) -> SopResult:
     eavesdroppers are added (see the module docstring); past it, use
     sop_integral.
     """
-    s = sc.scenario
+    s = _scenario_of(sc)
     n = s.n_jammers
     m_eaves = s.n_eavesdroppers
     if expansion_term_count(n, m_eaves) > MAX_CLOSED_FORM_TERMS:
@@ -469,7 +465,7 @@ def sop_closed_form_n2m1(sc: SopScenario) -> SopResult:
     cross-validate the general expansion machinery.  It forms mu, nu,
     xi, the poles kappa_n = ps/(mu P_n) - nu and lam_n = ps/P_n and the
     A_n itself, so it shares no constants with the general route."""
-    s = sc.scenario
+    s = _scenario_of(sc)
     if s.n_jammers != 2 or s.n_eavesdroppers != 1:
         raise InvalidInputError(
             f"special case needs N=2, M=1; got N={s.n_jammers}, "

@@ -15,7 +15,7 @@ import numpy as np
 from ._kernels import mc_outage_count
 from .errors import InvalidInputError, NumericalError
 from .model import _integer, _seed
-from .sop_analytic import SopScenario
+from .sop_analytic import SopScenario, _scenario_of
 
 # The largest draw the stream gives, -log1p(-(1 - 2**-53)) = 53 ln 2.
 _MAX_DRAW = -math.log1p(-(1.0 - 2.0 ** -53))
@@ -34,22 +34,22 @@ def estimate_sop(sc: SopScenario, n_samples: int, seed: int) -> OutageEstimate:
     error.  An outage is max_j SINR_e_j >= SINR_d/mu + nu, the exact
     complement of achieving the target rate.
 
-    ``n_samples`` and ``seed`` must be integers (not bool); anything
-    else raises InvalidInputError, as do ``n_samples < 1000``, a seed
-    outside [0, 2**64) and a count whose counters, 1 + m + n + m*n per
-    sample, run past the stream's 2**64.  Powers and noise levels at
-    which a sampled SINR could overflow a float raise NumericalError
-    before any sampling.
+    ``sc`` must be a SopScenario and ``n_samples`` and ``seed``
+    integers (not bool); anything else raises InvalidInputError, as do
+    ``n_samples < 1000``, a seed outside [0, 2**64) and a count whose
+    counters, 1 + m + n + m*n per sample, run past the stream's 2**64.
+    Powers and noise levels at which a sampled SINR could overflow a
+    float raise NumericalError before any sampling.
 
     The kernel spreads the samples over the process's CPUs; its count,
     and so the estimate, does not depend on how many there are.
     """
+    s = _scenario_of(sc)
     n_samples = _integer("n_samples", n_samples)
     seed = _seed(seed)
     if n_samples < 1000:
         raise InvalidInputError(
             f"n_samples must be >= 1000 for a usable error bar, got {n_samples}")
-    s = sc.scenario
     n, m = s.n_jammers, s.n_eavesdroppers
     if n_samples * (1 + m + n + m * n) > 2 ** 64:
         raise InvalidInputError(

@@ -5,9 +5,9 @@ suite (pytest does not collect this file).  The calls are criteria 1, 3
 and 10's draws (20, 100 twice and 100, all with max_iter=300) and 300
 random feasible draws: N <= 5, M <= 4, noise 0.1, generated from
 ``default_rng(2323)`` or the ``--rng`` given.  Each call prints one JSON
-line with its rate, ``algorithm_b``'s rate on the same draw, the GP
-solves and Newton steps it took, and the GP errors it raised (a
-challenger start drops its errors silently).
+line with its rate and allocation, ``algorithm_b``'s rate on the same
+draw, the GP solves and Newton steps it took, and the GP errors it
+raised (a challenger start drops its errors silently).
 
 Run it from the repository root on two checkouts and compare:
 
@@ -15,9 +15,10 @@ Run it from the repository root on two checkouts and compare:
     python3 tests/sca_rates.py --rng 4242 > held_out.jsonl
     python3 tests/sca_rates.py --diff old.jsonl new.jsonl
 
-The diff prints the totals, every rate that fell by more than 1e-9, and
-the draws that trail ``algorithm_b`` by more than 1e-6 and 1e-2 on
-either side.
+The diff prints the totals, the number of calls whose rate and
+allocation are both bit-identical, every rate that fell by more than
+1e-9, and the draws that trail ``algorithm_b`` by more than 1e-6 and
+1e-2 on either side.
 """
 
 import argparse
@@ -117,10 +118,11 @@ def run(seed):
         for name, s, g, p0 in calls(seed):
             newton.clear()
             errors.clear()
-            _, rate, trace = algorithm_a(s, g, p0=p0, max_iter=MAX_ITER)
+            alloc, rate, trace = algorithm_a(s, g, p0=p0, max_iter=MAX_ITER)
             print(json.dumps({
                 "call": name, "shape": f"{s.n_jammers}x{s.n_eavesdroppers}",
-                "rate": rate, "rate_b": algorithm_b(s, g)[1],
+                "rate": rate, "allocation": alloc.p.tolist(),
+                "rate_b": algorithm_b(s, g)[1],
                 "gp_solves": len(newton) + len(errors),
                 "newton_steps": sum(newton), "gp_errors": len(errors),
                 "stop_reason": trace.stop_reason}), flush=True)
@@ -140,6 +142,15 @@ def diff(old_path, new_path):
         a = sum(d[key] for d in old.values())
         b = sum(d[key] for d in new.values())
         print(f"{key}: {a} -> {b}" + (f" ({(b - a) / a:+.1%})" if a else ""))
+    def bits(d):
+        # JSON writes floats by repr, so equal text is equal bits (and
+        # tells -0.0 from 0.0)
+        return json.dumps([d["rate"], d.get("allocation")])
+
+    # a file without allocations matches nothing
+    same = sum("allocation" in old[k] and bits(old[k]) == bits(new[k])
+               for k in old)
+    print(f"rate and allocation bit-identical on {same} of {len(old)} calls")
     moves = np.array([new[k]["rate"] - old[k]["rate"] for k in old])
     print(f"rates rose on {(moves > 1e-9).sum()} calls, fell on "
           f"{(moves < -1e-9).sum()}, worst fall {max(0.0, -moves.min()):.2e}")

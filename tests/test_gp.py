@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopjam import ChannelGains, Scenario, gp, sample_channels
+from coopjam import (ChannelGains, Scenario, algorithm_a, gp,
+                     sample_channels)
 from coopjam.errors import (AccuracyError, DomainError, InvalidInputError,
                             NumericalError)
 from coopjam.gp import (GpProblem, Monomial, Posynomial,
-                        _condensed_denominators, _ratio_factors,
-                        build_approx_program, condense, gp_solve)
+                        _condense_denominator_logs, _ProgramLayout,
+                        _ratio_factors, build_approx_program, condense,
+                        gp_solve)
 from coopjam.model import sinr_destination, sinr_eavesdropper
+from tests.conftest import feasible_draws
 
 
 def poly(*terms):
@@ -27,12 +30,13 @@ def poly(*terms):
 def condensed(s, g, p_hat):
     """Every SINR ratio with its denominators condensed at ``p_hat``, as
     a function of the positive point p."""
-    a, b, c, e = _ratio_factors(s, g)
-    log_den, e_den = _condensed_denominators(c, e, p_hat)
+    layout = _ProgramLayout(s, g)
+    log_den, e_den = _condense_denominator_logs(layout.log_ce, np.log(p_hat))
 
     def at(p):
         q = np.append(p, 1.0)
-        return (a @ q) * (b @ q) / np.exp(log_den + e_den @ np.log(p))
+        return ((layout.a @ q) * (layout.b @ q)
+                / np.exp(log_den + e_den @ np.log(p)))
     return at
 
 
@@ -99,7 +103,9 @@ class TestRatioParts:
         assert (a[:, 3] > 0).all() and (e[:, 3] > 0).all()
         assert b[3] > 0 and c[3] > 0
         # the absent terms drop out of the condensed denominators
-        log_den, e_den = _condensed_denominators(c, e, scenario3x2.p_max / 2)
+        log_den, e_den = _condense_denominator_logs(
+            _ProgramLayout(scenario3x2, g).log_ce,
+            np.log(scenario3x2.p_max / 2))
         assert np.isfinite(log_den).all() and np.isfinite(e_den).all()
 
     def test_ratio_equals_capacity_ratio(self, scenario3x2):
@@ -227,7 +233,8 @@ class TestGpSolve:
         # returned a point with gap 6.7e-5 as if solved, and None or a
         # string raised a bare TypeError
         g = sample_channels(scenario3x2, seed=5)
-        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
+        prob = build_approx_program(_ProgramLayout(scenario3x2, g),
+                                    scenario3x2.p_max / 2)
         with pytest.raises(InvalidInputError, match="tol"):
             gp_solve(prob, tol=tol)
 
@@ -247,7 +254,7 @@ class TestApproxProgram:
     def test_shapes_and_warm_start(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=5)
         p_hat = scenario3x2.p_max / 2
-        prob = build_approx_program(scenario3x2, g, p_hat)
+        prob = build_approx_program(_ProgramLayout(scenario3x2, g), p_hat)
         n, m = 3, 2
         # all gains positive: (p, t, v), one row per eavesdropper, B's
         # row and the box rows
@@ -261,7 +268,7 @@ class TestApproxProgram:
     def test_solution_improves_on_expansion_point(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=5)
         p_hat = scenario3x2.p_max / 2
-        prob = build_approx_program(scenario3x2, g, p_hat)
+        prob = build_approx_program(_ProgramLayout(scenario3x2, g), p_hat)
         ratios = condensed(scenario3x2, g, p_hat)
         sol = gp_solve(prob)
         worst_at_hat = ratios(p_hat).max()
@@ -272,7 +279,8 @@ class TestApproxProgram:
 
     def test_solution_respects_box(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=6)
-        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
+        prob = build_approx_program(_ProgramLayout(scenario3x2, g),
+                                    scenario3x2.p_max / 2)
         sol = gp_solve(prob)
         assert (sol.x[:3] <= scenario3x2.p_max * (1 + 1e-7)).all()
         assert (sol.x[:3] > 0).all()
@@ -280,7 +288,8 @@ class TestApproxProgram:
     def test_expansion_point_outside_box_rejected(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=7)
         with pytest.raises(InvalidInputError):
-            build_approx_program(scenario3x2, g, scenario3x2.p_max * 2)
+            build_approx_program(_ProgramLayout(scenario3x2, g),
+                                 scenario3x2.p_max * 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_expansion_point_named(self, scenario3x2, bad):
@@ -289,15 +298,8 @@ class TestApproxProgram:
         g = sample_channels(scenario3x2, seed=7)
         with pytest.raises(InvalidInputError,
                            match="expansion point must be finite"):
-            build_approx_program(scenario3x2, g, [bad, 0.5, 0.5])
-
-
-def _fresh_copies(s, g):
-    """Equal copies of a (scenario, gains) pair under new identities, so
-    a program built from them cannot come from a cached layout."""
-    return (Scenario(s.n_jammers, s.n_eavesdroppers, s.p_source, s.p_max,
-                     s.sigma2_dest, s.sigma2_eaves),
-            ChannelGains(g.h_d, g.h_e, g.g_d, g.g_e))
+            build_approx_program(_ProgramLayout(scenario3x2, g),
+                                 [bad, 0.5, 0.5])
 
 
 def assert_same_program(got, want):
@@ -311,9 +313,19 @@ def assert_same_program(got, want):
                                   want.objective.exponents)
 
 
+def _bits(result):
+    """An ``algorithm_a`` result as bytes and hex, equal only bit for
+    bit."""
+    alloc, rate, trace = result
+    return (alloc.p.tobytes(), float(rate).hex(), trace.rates.tobytes(),
+            trace.converged, trace.stop_reason)
+
+
 class TestProgramLayout:
     def test_cached_layout_builds_the_fresh_program(self):
-        # random draws, a third of them with zero gains that drop terms
+        # random draws, a third of them with zero gains that drop terms;
+        # a layout used at one point builds at the next what a fresh
+        # layout builds there
         rng = np.random.default_rng(24)
         dropped = 0
         for k in range(40):
@@ -327,52 +339,27 @@ class TestProgramLayout:
                 h_d=raw.h_d, h_e=raw.h_e,
                 g_d=np.where(zero & (rng.random(n) < 0.4), 0.0, raw.g_d),
                 g_e=np.where(zero & (rng.random((m, n)) < 0.4), 0.0, raw.g_e))
-            build_approx_program(s, g, rng.uniform(0.0, 1.0, n) * s.p_max)
-            cached = gp._last_layout[2]
+            layout = _ProgramLayout(s, g)
+            build_approx_program(layout, rng.uniform(0.0, 1.0, n) * s.p_max)
             p = rng.uniform(0.0, 1.0, n) * s.p_max
-            got = build_approx_program(s, g, p)
-            assert gp._last_layout[2] is cached
-            want = build_approx_program(*_fresh_copies(s, g), p)
-            assert gp._last_layout[2] is not cached
+            got = build_approx_program(layout, p)
+            want = build_approx_program(_ProgramLayout(s, g), p)
             assert_same_program(got, want)
             dropped += got.log_coeffs.size < (m + 1) * (n + 1) + 2 * n
         assert dropped >= 5
 
-    def test_alternating_pairs_never_share_a_layout(self, scenario3x2):
-        other = Scenario(3, 2, p_source=5.0, p_max=[0.5, 2.0, 1.0],
-                         sigma2_dest=0.2, sigma2_eaves=[0.1, 0.3])
-        g1 = sample_channels(scenario3x2, seed=1)
-        g2 = ChannelGains(h_d=1.0, h_e=[1.0, 1.0], g_d=[0.5, 0.0, 0.5],
-                          g_e=[[0.4, 0.4, 0.0], [0.4, 0.4, 0.4]])
-        pairs = [(scenario3x2, g1), (scenario3x2, g2), (other, g1),
-                 (other, g2)]
-        p = np.array([0.3, 0.2, 0.4])
-        want = [build_approx_program(*_fresh_copies(s, g), p)
-                for s, g in pairs]
-        for _ in range(3):
-            for (s, g), w in zip(pairs, want):
-                assert_same_program(build_approx_program(s, g, p), w)
-            for (s, g), w in zip(pairs[::-1], want[::-1]):
-                assert_same_program(build_approx_program(s, g, p), w)
-
-    def test_threads_get_their_own_pair_s_program(self, scenario3x2):
-        # the one cached layout is shared by every thread: threads that
-        # build programs for different pairs must never get another's
-        pairs = [(scenario3x2, sample_channels(scenario3x2, seed=k))
-                 for k in range(4)]
-        p = np.array([0.3, 0.2, 0.4])
-        want = [build_approx_program(*_fresh_copies(s, g), p)
-                for s, g in pairs]
+    def test_threads_get_their_pair_s_serial_results(self, scenario3x2):
+        # each algorithm_a call holds its own layout: threads running it
+        # on different pairs, switching as often as the interpreter
+        # lets them, get each pair's serial result bit for bit
+        pairs = feasible_draws(scenario3x2, seed=28, count=4)
+        want = [_bits(algorithm_a(scenario3x2, g)) for g in pairs]
         wrong = []
 
         def work(i):
-            s, g = pairs[i % len(pairs)]
-            w = want[i % len(pairs)]
-            for _ in range(200):
-                got = build_approx_program(s, g, p)
-                if not (np.array_equal(got.log_coeffs, w.log_coeffs)
-                        and np.array_equal(got.exponents, w.exponents)
-                        and np.array_equal(got.warm_start, w.warm_start)):
+            g, w = pairs[i % len(pairs)], want[i % len(pairs)]
+            for _ in range(2):
+                if _bits(algorithm_a(scenario3x2, g)) != w:
                     wrong.append(i)
 
         threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
@@ -391,7 +378,8 @@ class TestProgramLayout:
     def test_programs_do_not_share_writable_arrays(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=5)
         p = scenario3x2.p_max / 2
-        first = build_approx_program(scenario3x2, g, p)
+        layout = _ProgramLayout(scenario3x2, g)
+        first = build_approx_program(layout, p)
         first.log_coeffs[:] = 0.0
         first.exponents[:] = 0.0
         for name in ("sizes", "starts", "groups"):
@@ -399,9 +387,9 @@ class TestProgramLayout:
                 getattr(first, name)[0] = 7
         with pytest.raises(ValueError):
             first.objective.exponents[0] = 7.0
-        assert_same_program(build_approx_program(scenario3x2, g, p),
-                            build_approx_program(
-                                *_fresh_copies(scenario3x2, g), p))
+        assert_same_program(
+            build_approx_program(layout, p),
+            build_approx_program(_ProgramLayout(scenario3x2, g), p))
 
 
 # Value and iteration count of the workhorse program on seed 5 at half
@@ -414,21 +402,24 @@ SEED5_HALF_POWER_ITERATIONS = 12
 class TestPrimalDual:
     def test_matches_barrier_value(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=5)
-        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
+        prob = build_approx_program(_ProgramLayout(scenario3x2, g),
+                                    scenario3x2.p_max / 2)
         sol = gp_solve(prob)
         assert sol.value == pytest.approx(SEED5_HALF_POWER_VALUE, rel=1e-9)
         assert sol.duality_gap <= 1e-9
 
     def test_pinned_iteration_count(self, scenario3x2):
         g = sample_channels(scenario3x2, seed=5)
-        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
+        prob = build_approx_program(_ProgramLayout(scenario3x2, g),
+                                    scenario3x2.p_max / 2)
         assert gp_solve(prob).newton_iterations == SEED5_HALF_POWER_ITERATIONS
 
     def test_warm_start_on_the_box_edge(self, scenario3x2):
         # expanding at p_max clips the warm start to p_max*(1 - 1e-9), so
         # each upper-box constraint starts 1e-9 from active
         g = sample_channels(scenario3x2, seed=5)
-        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max)
+        prob = build_approx_program(_ProgramLayout(scenario3x2, g),
+                                    scenario3x2.p_max)
         n = scenario3x2.n_jammers
         values = constraint_values(prob, prob.warm_start)
         upper = values[-2 * n::2]  # the box rows come last
@@ -441,7 +432,8 @@ class TestPrimalDual:
     def test_singular_newton_system_is_regularised(self, scenario3x2,
                                                    monkeypatch):
         g = sample_channels(scenario3x2, seed=5)
-        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
+        prob = build_approx_program(_ProgramLayout(scenario3x2, g),
+                                    scenario3x2.p_max / 2)
         solve = np.linalg.solve
         calls = []
 
@@ -461,7 +453,8 @@ class TestPrimalDual:
     def test_singular_after_regularisation_raises(self, scenario3x2,
                                                   monkeypatch):
         g = sample_channels(scenario3x2, seed=5)
-        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
+        prob = build_approx_program(_ProgramLayout(scenario3x2, g),
+                                    scenario3x2.p_max / 2)
 
         def singular(a, b):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -474,7 +467,8 @@ class TestPrimalDual:
         from coopjam import ChannelGains
         g = ChannelGains(h_d=1.0, h_e=[1.0, 1.0], g_d=[0.5, 0.0, 0.5],
                          g_e=[[0.4, 0.4, 0.0], [0.4, 0.4, 0.4]])
-        prob = build_approx_program(scenario3x2, g, scenario3x2.p_max / 2)
+        prob = build_approx_program(_ProgramLayout(scenario3x2, g),
+                                    scenario3x2.p_max / 2)
         a, b, _, _ = _ratio_factors(scenario3x2, g)
         assert np.isfinite(prob.log_coeffs).all()
         for m in range(2):

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopjam import (ChannelGains, InvalidInputError, PowerAllocation,
-                     Scenario, kkt_check, sample_channels, secrecy_rate,
-                     sinr_destination, sinr_eavesdropper)
+                     Scenario, algorithm_a, check_positive_secrecy,
+                     estimate_sop, kkt_check, sample_channels, secrecy_rate,
+                     sinr_destination, sinr_eavesdropper, sop_closed_form,
+                     sop_closed_form_n2m1, sop_integral)
 from coopjam.model import (gains_from_dict, gains_to_dict, load_scenario,
                            save_scenario, scenario_from_dict,
                            scenario_to_dict, secrecy_rate_batch)
@@ -55,6 +57,27 @@ class TestValidation:
     def test_arrays_frozen(self, scenario3x2):
         with pytest.raises(ValueError):
             scenario3x2.p_max[0] = 5.0
+
+    @pytest.mark.parametrize("call, expected", [
+        pytest.param(lambda s: estimate_sop(s, 1000, 0), "SopScenario",
+                     id="estimate_sop"),
+        pytest.param(sop_integral, "SopScenario", id="sop_integral"),
+        pytest.param(sop_closed_form, "SopScenario", id="sop_closed_form"),
+        pytest.param(sop_closed_form_n2m1, "SopScenario",
+                     id="sop_closed_form_n2m1"),
+        pytest.param(lambda s: algorithm_a(s, None), "ChannelGains",
+                     id="algorithm_a"),
+        pytest.param(lambda s: check_positive_secrecy(s, None),
+                     "ChannelGains", id="check_positive_secrecy"),
+    ])
+    def test_wrong_argument_type_named(self, call, expected):
+        # a Scenario where a SopScenario belongs, or None for the gains,
+        # used to end in a bare AttributeError
+        s = Scenario(n_jammers=2, n_eavesdroppers=1, p_source=2.0,
+                     p_max=[1.0, 2.5], sigma2_dest=0.1, sigma2_eaves=[0.1])
+        with pytest.raises(InvalidInputError,
+                           match=f"must be a {expected}, got"):
+            call(s)
 
 
 class TestRates:

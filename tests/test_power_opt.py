@@ -162,7 +162,8 @@ class TestAlgorithmA:
         assert newton <= TABLE_AB_NEWTON_STEPS
 
     def test_one_program_layout_per_call(self, monkeypatch):
-        # every SCA round of every start shares the pair's layout
+        # every SCA round of every start shares the call's layout, and
+        # the next call on the same pair builds its own
         built = []
 
         class Counted(gp._ProgramLayout):
@@ -170,14 +171,15 @@ class TestAlgorithmA:
                 built.append(gains)
                 super().__init__(scenario, gains)
 
-        monkeypatch.setattr(gp, "_ProgramLayout", Counted)
+        monkeypatch.setattr(power_opt, "_ProgramLayout", Counted)
         s = default_scenario()
         cfg = ExperimentConfig("table_ab")
         for _, g in _feasible_draws(s, cfg.seed, cfg.n_channel_sets):
-            monkeypatch.setattr(gp, "_last_layout", (None, None, None))
             built.clear()
             algorithm_a(s, g, max_iter=ASCENT_MAX_ITER)
             assert len(built) == 1 and built[0] is g
+            algorithm_a(s, g, max_iter=ASCENT_MAX_ITER)
+            assert len(built) == 2 and built[1] is g
 
     # jammers loud at both eavesdroppers, quiet at the destination: the
     # ascent from half power beats the best single jammer after one round,
@@ -221,9 +223,9 @@ class TestAlgorithmA:
         real_solve = power_opt.gp_solve
         points, tols, solutions = [], [], []
 
-        def build(scenario, gains, p_tilde):
+        def build(layout, p_tilde):
             points.append(np.array(p_tilde))
-            return real_build(scenario, gains, p_tilde)
+            return real_build(layout, p_tilde)
 
         def solve(problem, **kwargs):
             tols.append(kwargs["tol"])

@@ -18,9 +18,9 @@ from coopjam import (CoopJamError, DegeneratePowersError, InvalidInputError,
                      SopScenario, estimate_sop,
                      sop_closed_form, sop_closed_form_n2m1, sop_integral)
 from coopjam.numerics import integrate_semi_infinite
-from coopjam.sop_analytic import (_pdf_dest, cdf_gamma_d, cdf_gamma_emax,
-                                  coeff_a, expansion_term_count,
-                                  min_relative_gap, pole_integral)
+from coopjam.sop_analytic import (_cdf_sinr_max, _pdf_dest, coeff_a,
+                                  expansion_term_count, min_relative_gap,
+                                  pole_integral)
 from tests.conftest import conditioned_sop_scenario
 
 
@@ -29,6 +29,16 @@ def sop(n=2, m=1, p=(1.0, 2.5), ps=2.0, rate=0.5, sig_d=0.1, sig_e=None):
                  p_max=np.asarray(p, float), sigma2_dest=sig_d,
                  sigma2_eaves=np.full(m, 0.1) if sig_e is None else sig_e)
     return SopScenario(scenario=s, rate=rate)
+
+
+def cdf_dest(x, s):
+    """The destination SINR's CDF at the scenario's powers."""
+    return _cdf_sinr_max(x, s.p_max, s.p_source, np.array([s.sigma2_dest]))
+
+
+def cdf_emax(x, s):
+    """The CDF of the eavesdroppers' best SINR at the scenario's powers."""
+    return _cdf_sinr_max(x, s.p_max, s.p_source, s.sigma2_eaves)
 
 
 class TestCoefficients:
@@ -119,7 +129,7 @@ class TestSinrLaws:
 
         samples = self.empirical(draw)
         for x in (0.2, 0.7, 1.5, 4.0, 10.0):
-            assert cdf_gamma_d(x, s) == pytest.approx(
+            assert cdf_dest(x, s) == pytest.approx(
                 (samples <= x).mean(), abs=0.01)
 
     def test_eavesdropper_max_cdf_against_sampling(self):
@@ -135,24 +145,24 @@ class TestSinrLaws:
 
         samples = self.empirical(draw)
         for x in (0.3, 1.0, 2.5, 6.0):
-            assert cdf_gamma_emax(x, s) == pytest.approx(
+            assert cdf_emax(x, s) == pytest.approx(
                 (samples <= x).mean(), abs=0.01)
 
     def test_cdf_anchors(self):
         s = sop(n=3, m=2, p=(0.5, 1.2, 2.6)).scenario
-        assert cdf_gamma_d(0.0, s) == pytest.approx(0.0, abs=1e-12)
-        assert cdf_gamma_d(-1.0, s) == 0.0
-        assert cdf_gamma_d(1e9, s) == pytest.approx(1.0, abs=1e-6)
+        assert cdf_dest(0.0, s) == pytest.approx(0.0, abs=1e-12)
+        assert cdf_dest(-1.0, s) == 0.0
+        assert cdf_dest(1e9, s) == pytest.approx(1.0, abs=1e-6)
         # a negative x is 0 without forming the laws there: with
         # p_source 2 and a 1 W jammer, P x + p_source is 0 at x = -2
         one = sop(n=1, m=1, p=(1.0,), ps=2.0).scenario
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cdf_gamma_d(-2.0, one) == 0.0
-            assert cdf_gamma_emax(np.array([-2.0, -1e5]), one).tolist() == [0, 0]
+            assert cdf_dest(-2.0, one) == 0.0
+            assert cdf_emax(np.array([-2.0, -1e5]), one).tolist() == [0, 0]
         xs = np.linspace(0, 20, 200)
-        assert (np.diff(cdf_gamma_d(xs, s)) >= -1e-12).all()
-        assert (np.diff(cdf_gamma_emax(xs, s)) >= -1e-12).all()
+        assert (np.diff(cdf_dest(xs, s)) >= -1e-12).all()
+        assert (np.diff(cdf_emax(xs, s)) >= -1e-12).all()
 
     @staticmethod
     def pdf_dest(x, s):
@@ -163,7 +173,7 @@ class TestSinrLaws:
         s = sop(n=2, m=1, p=(0.8, 2.2)).scenario
         h = 1e-6
         for x in (0.1, 0.9, 3.0, 8.0):
-            num = (cdf_gamma_d(x + h, s) - cdf_gamma_d(x - h, s)) / (2 * h)
+            num = (cdf_dest(x + h, s) - cdf_dest(x - h, s)) / (2 * h)
             assert self.pdf_dest(x, s) == pytest.approx(num, rel=1e-6)
 
     def test_pdf_normalised(self):
@@ -461,9 +471,9 @@ class TestPinnedBits:
 
     def test_cdf_gamma_emax(self):
         s = PINNED_SETTINGS["n2m3"]().scenario
-        got = tuple(float(v).hex() for v in cdf_gamma_emax(PINNED_CDF_X, s))
+        got = tuple(float(v).hex() for v in cdf_emax(PINNED_CDF_X, s))
         assert got == PINNED_CDF
-        assert float(cdf_gamma_emax(2.5, s)).hex() == PINNED_CDF[4]
+        assert float(cdf_emax(2.5, s)).hex() == PINNED_CDF[4]
 
 
 def _sop_oracle(sc: SopScenario, dps: int = 30) -> float:
@@ -716,7 +726,7 @@ class TestOutageInvariants:
 
 
 def _partial_fraction_laws(x, s):
-    """cdf_gamma_d, cdf_gamma_emax and _pdf_dest spelt with the
+    """cdf_dest, cdf_emax and _pdf_dest spelt with the
     hypoexponential coefficients, L(x) = sum_n A_n P_n ps / (P_n x + ps),
     each with a bound on this spelling's own rounding: the sums cancel
     terms as large as |A_n P_n|, which reach ~200 for four powers 20%
@@ -749,7 +759,7 @@ class TestProductLaws:
         caps = np.cumprod([p[0], *p[1]])
         s = sop(n=caps.size, m=m, p=caps, ps=ps, sig_d=sig[0],
                 sig_e=np.array(sig[1:m + 1])).scenario
-        got = (cdf_gamma_d(x, s), cdf_gamma_emax(x, s),
+        got = (cdf_dest(x, s), cdf_emax(x, s),
                _pdf_dest(x, s.p_max, ps, s.sigma2_dest))
         for value, (want, rounding) in zip(got, _partial_fraction_laws(x, s)):
             assert value == pytest.approx(want, abs=1e-13 + rounding)
